@@ -13,7 +13,6 @@ from .dag import (
     founding_labels,
     load_dag,
     parse_dag_text,
-    same_cluster_matrix,
     search_space_size,
     seven_node_example,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "founding_labels",
     "load_dag",
     "parse_dag_text",
-    "same_cluster_matrix",
     "search_space_size",
     "seven_node_example",
     "OpCostWeights",

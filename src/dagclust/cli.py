@@ -6,7 +6,9 @@ multi-run convergence comparison.  Every run is deterministic given the
 input file, the flags, and the seed; a JSON manifest echoing that triple is
 emitted alongside the results so any run can be replayed bit-for-bit.
 
-Exit codes: 0 success, 2 input validation, 3 enumeration cap, 4 config.
+Exit codes: 0 success, 2 input validation (also a replayed input whose
+digest differs from its manifest's), 3 enumeration cap, 4 config (also a
+replayed manifest that turns on an option this version lacks).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .dag import (
     assign_layers,
     format_dag_text,
     load_dag,
-    parse_dag_text,
     search_space_size,
 )
 from .costs import BnComputationCost
@@ -110,18 +111,22 @@ def _mapping_str(dag: Dag, mapping: dict[int, int]) -> str:
     return ",".join(f"{dag.name(x)}={mapping[x]}" for x in sorted(mapping))
 
 
+def _sha256(path: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
+
+
 def _manifest(command: str, input_path: str | None, config: dict) -> dict:
-    digest = None
-    if input_path:
-        with open(input_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "artifact": "dagclust",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "input": input_path,
-        "input_sha256": digest,
+        "input_sha256": _sha256(input_path) if input_path else None,
         "config": config,
     }
 
@@ -163,7 +168,6 @@ def _search_config(args) -> SearchConfig:
             stall_window=args.stall,
             prune_enabled=not args.no_prune,
             gmin_infinite=args.gmin_inf,
-            root_split_filter=args.root_split,
         )
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
@@ -474,6 +478,20 @@ def cmd_replay(args, out) -> int:
     if manifest.get("command") != "search":
         raise CliError("only search manifests can be replayed", EXIT_CONFIG)
     cfg = manifest["config"]
+    # Options a manifest turns on that this version lacks (such as the removed
+    # root-split filter) would make the replay a different search.
+    known = {f.name for f in dataclasses.fields(SearchConfig)} | {"weights"}
+    unknown = sorted(key for key, val in cfg.items() if key not in known and val)
+    if unknown:
+        raise CliError(
+            f"manifest enables options this version does not have: {', '.join(unknown)}",
+            EXIT_CONFIG,
+        )
+    if _sha256(manifest["input"]) != manifest.get("input_sha256"):
+        raise CliError(
+            f"{manifest['input']} does not match the manifest's input_sha256",
+            EXIT_VALIDATION,
+        )
     weights = cfg.get("weights", {})
     argv = [
         "search",
@@ -499,8 +517,6 @@ def cmd_replay(args, out) -> int:
         argv.append("--no-prune")
     if cfg.get("gmin_infinite"):
         argv.append("--gmin-inf")
-    if cfg.get("root_split_filter"):
-        argv.append("--root-split")
     return main(argv, out)
 
 
@@ -533,7 +549,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stall", type=int, default=None, help="stop after this many iterations without improvement")
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--gmin-inf", action="store_true", help="enumeration mode: no cost-based termination")
-    p.add_argument("--root-split", action="store_true", help="never co-cluster two root nodes of a layer")
     p.add_argument("--reference", default=None, help="file of mappings to score similarity against")
     p.add_argument("--manifest", default=None, help="write the run manifest to this path")
     _add_common(p)

@@ -1,4 +1,5 @@
-"""Cluster-layer transition costs, the search heuristic, and related probes.
+"""Cluster-layer transition costs, the search heuristic, and whole-mapping
+evaluation.
 
 The search walks the DAG from the leaf layer upward.  Costing one
 cluster-layer (cluster k, layer l, node set Z) means: pull in the stored
@@ -12,11 +13,10 @@ is what makes neighbouring clusters' costs interdependent.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
-from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
+from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, founding_labels
 from .factors import (
     DEFAULT_WEIGHTS,
     OpCostWeights,
@@ -54,12 +54,10 @@ class CostModel(Protocol):
     non-negative heuristic; any such heuristic preserves optimality and only
     affects search order.  The heuristic must however upper-bound the true
     completion cost whenever it seeds the incumbent bound, so implementations
-    should anchor it to a concrete feasible completion.  ``super_additive``
-    gates the root-splitting proposal filter.
+    should anchor it to a concrete feasible completion.
     """
 
     weights: OpCostWeights
-    super_additive: bool
 
     def transition(
         self,
@@ -81,14 +79,10 @@ class CostModel(Protocol):
 class BnComputationCost:
     """Inference computation cost over conditional-table shapes."""
 
-    super_additive = True
-
     def __init__(self, dag: Dag, layers: LayerAssignment, weights: OpCostWeights = DEFAULT_WEIGHTS):
         self.dag = dag
         self.layers = layers
         self.weights = weights
-        from .dag import founding_labels
-
         self._labels = founding_labels(dag, layers)
 
     # -- transition ---------------------------------------------------------
@@ -234,7 +228,7 @@ def ghat(g_so_far: float, transition: float, heuristic_remaining: float) -> Ghat
 
 
 # ---------------------------------------------------------------------------
-# Whole-mapping evaluation (shared by the oracle and the probes)
+# Whole-mapping evaluation
 
 
 @dataclass
@@ -270,106 +264,3 @@ def evaluate_mapping(
             per_layer[l] = per_layer.get(l, 0.0) + t.cost
             transitions.append((k, l, z, t.cost))
     return MappingCost(total=total, per_layer=per_layer, transitions=transitions)
-
-
-# ---------------------------------------------------------------------------
-# Super-additivity probe and the root-splitting proposal filter
-
-
-def is_super_additive_probe(
-    dag: Dag,
-    layers: LayerAssignment,
-    model: CostModel,
-    samples: int = 20,
-    rng: random.Random | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-) -> bool:
-    """Empirically test whether costing two same-layer nodes as one
-    cluster-layer always exceeds costing them separately.
-
-    Returns False on the first sampled counterexample.  Sampling builds a
-    random feasible prefix below the probed layer so child partials exist.
-    Note the computation-cost model is not universally super-additive: when
-    one shared child partial carries both nodes' dimensions, splitting them
-    pays the partial-restriction cost twice, which can beat the joint table
-    growth.  Pass explicit ``pairs`` to probe a chosen situation.
-    """
-    rng = rng or random.Random(0)
-    from .dag import founding_labels  # local import to avoid cycle at module load
-
-    labels = founding_labels(dag, layers)
-    if pairs is None:
-        pairs = [
-            (x1, x2)
-            for l in range(layers.l_max + 1)
-            for x1 in layers.members.get(l, ())
-            for x2 in layers.members.get(l, ())
-            if x1 < x2
-        ]
-    if not pairs:
-        return True
-    for _ in range(samples):
-        x1, x2 = pairs[rng.randrange(len(pairs))]
-        if layers.of(x1) != layers.of(x2):
-            raise ValidationError("probe pairs must share a layer")
-        l = layers.of(x1)
-        # Random proposal-rule prefix for everything below layer l.
-        u: dict[int, int] = {}
-        for ll in range(l):
-            for x in layers.members.get(ll, ()):
-                choices = [labels[x]] + sorted({u[c] for c in dag.children(x)})
-                u[x] = rng.choice(choices)
-        entries: list[JEntry] = []
-        evaluate_mapping_prefix(dag, layers, model, u, l, entries)
-        k = labels[x1]
-        u_joint = {**u, x1: k, x2: k}
-        u_split = {**u, x1: k, x2: labels[x2]}
-        joint = model.transition(u_joint, entries, k, l, frozenset({x1, x2})).cost
-        single1 = model.transition(u_split, entries, k, l, frozenset({x1})).cost
-        single2 = model.transition(u_split, entries, labels[x2], l, frozenset({x2})).cost
-        if not joint > single1 + single2:
-            return False
-    return True
-
-
-def evaluate_mapping_prefix(
-    dag: Dag,
-    layers: LayerAssignment,
-    model: CostModel,
-    u: dict[int, int],
-    upto_layer: int,
-    entries: list[JEntry],
-) -> float:
-    """Cost the assigned layers strictly below ``upto_layer``, filling ``entries``."""
-    total = 0.0
-    for l in range(upto_layer):
-        groups: dict[int, set[int]] = {}
-        for x in layers.members.get(l, ()):
-            groups.setdefault(u[x], set()).add(x)
-        for k in sorted(groups):
-            z = frozenset(groups[k])
-            t = model.transition(u, entries, k, l, z)
-            entries.append(JEntry(k, l, z, t.dims))
-            total += t.cost
-    return total
-
-
-def root_split_filter(
-    dag: Dag,
-    layers: LayerAssignment,
-    proposal: frozenset[int],
-    enabled: bool = True,
-) -> list[frozenset[int]]:
-    """Split proposals that put two or more parentless nodes in one cluster.
-
-    For super-additive cost functions, co-clustering root nodes of a layer
-    can never beat splitting them, so such proposals are replaced by one
-    proposal per root.  Identity when disabled.
-    """
-    if not enabled:
-        return [proposal]
-    roots = sorted(x for x in proposal if not dag.parents(x))
-    if len(roots) <= 1:
-        return [proposal]
-    rest = frozenset(proposal) - frozenset(roots)
-    return [rest | {r} for r in roots]

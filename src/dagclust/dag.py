@@ -10,6 +10,7 @@ cluster-layer at a time, from the leaves upward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class ValidationError(ValueError):
@@ -189,53 +190,6 @@ def founding_labels(dag: Dag, layers: LayerAssignment) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class SameClusterMatrix:
-    """Sparse 0/1 candidacy matrix: pairs (i, j) where j may share i's cluster."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def row(self, i: int) -> frozenset[int]:
-        return frozenset(j for (a, j) in self.pairs if a == i)
-
-    def candidates_for(self, j: int) -> frozenset[int]:
-        """Column read: nodes whose cluster node j could join."""
-        return frozenset(i for (i, b) in self.pairs if b == j)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-
-def descendants_including(dag: Dag, start: set[int]) -> set[int]:
-    """Transitive child closure of ``start``, including the start set."""
-    out = set(start)
-    frontier = set(start)
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            nxt |= dag.children(x)
-        nxt -= out
-        out |= nxt
-        frontier = nxt
-    return out
-
-
-def same_cluster_matrix(dag: Dag, layers: LayerAssignment) -> SameClusterMatrix:
-    """For each node i, mark descendants of Par(i) at layer >= layer(i).
-
-    Those are the nodes reachable from a common parent, i.e. the only nodes
-    whose cluster i's cluster could merge with while staying contiguous.
-    """
-    pairs = set()
-    for i in dag.node_ids():
-        pool = descendants_including(dag, set(dag.parents(i)))
-        for j in pool:
-            if layers.of(j) >= layers.of(i):
-                pairs.add((i, j))
-    return SameClusterMatrix(n=dag.n, pairs=frozenset(pairs))
-
-
-@dataclass(frozen=True)
 class NodeClassification:
     """Per cluster: link nodes (a child in another cluster) and internal nodes."""
 
@@ -267,29 +221,34 @@ def classify_nodes(dag: Dag, mapping: dict[int, int]) -> NodeClassification:
     )
 
 
+def keeps_contiguity(dag: Dag, u: dict[int, int], xs: Iterable[int], k: int) -> bool:
+    """True iff no directed path that leaves cluster k from a node of ``xs``
+    comes back into k.
+
+    Walks downward from the children of ``xs`` that lie outside k, staying
+    outside k, with one shared ``seen`` set.  ``u`` may be partial: only the
+    descendants of ``xs`` are read, and an unassigned node counts as outside.
+    """
+    children = dag._children
+    stack = [c for x in xs for c in children[x] if u.get(c) != k]
+    seen = set(stack)
+    while stack:
+        for c in children[stack.pop()]:
+            if c not in seen:
+                if u.get(c) == k:
+                    return False
+                seen.add(c)
+                stack.append(c)
+    return True
+
+
 def check_contiguity(dag: Dag, mapping: dict[int, int]) -> bool:
     """True iff no directed path leaves a cluster and later re-enters it."""
     _require_total(dag, mapping)
-    clusters: dict[int, set[int]] = {}
+    clusters: dict[int, list[int]] = {}
     for x, k in mapping.items():
-        clusters.setdefault(k, set()).add(x)
-    for k, members in clusters.items():
-        # Walk forward from every arc that exits the cluster, staying outside.
-        frontier = {
-            c for m in members for c in dag.children(m) if mapping[c] != k
-        }
-        seen = set(frontier)
-        while frontier:
-            nxt = set()
-            for x in frontier:
-                for c in dag.children(x):
-                    if mapping[c] == k:
-                        return False
-                    if c not in seen:
-                        nxt.add(c)
-            seen |= nxt
-            frontier = nxt
-    return True
+        clusters.setdefault(k, []).append(x)
+    return all(keeps_contiguity(dag, mapping, ms, k) for k, ms in clusters.items())
 
 
 def search_space_size(dag: Dag, layers: LayerAssignment) -> int:

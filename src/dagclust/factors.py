@@ -13,11 +13,10 @@ order, which is therefore never inferred.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .dag import Dag, LayerAssignment, ValidationError, classify_nodes, check_contiguity
+from .dag import Dag, LayerAssignment, ValidationError
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
+from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, classify_nodes
 from .factors import (
     DEFAULT_WEIGHTS,
     OpCostWeights,
@@ -97,12 +97,7 @@ def cluster_inference_schedule(
         for k, ms in clusters.items()
         for l in cl_layers[k]
     }
-    link: dict[int, frozenset[int]] = {
-        k: frozenset(
-            x for x in ms if any(mapping[c] != k for c in dag.children(x))
-        )
-        for k, ms in clusters.items()
-    }
+    link = classify_nodes(dag, mapping).link
     root_cluster = {
         k: all(mapping[p] == k for x in ms for p in dag.parents(x))
         for k, ms in clusters.items()

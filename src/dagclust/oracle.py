@@ -19,6 +19,7 @@ from .dag import (
     ValidationError,
     check_contiguity,
     founding_labels,
+    keeps_contiguity,
     search_space_size,
 )
 from .costs import TOL, CostModel, evaluate_mapping
@@ -32,23 +33,6 @@ class FeasibleMapping:
     u: dict[int, int]
     total_cost: float
     signature: tuple[int, ...]
-
-
-def _join_keeps_contiguity(dag: Dag, u: dict[int, int], x: int, k: int) -> bool:
-    """Would assigning x to cluster k leave every directed path that exits k
-    unable to re-enter it?  Only descendants of x matter, and those are all
-    assigned already when nodes are placed in ascending layer order."""
-    stack = [c for c in dag.children(x) if u.get(c) != k]
-    seen = set(stack)
-    while stack:
-        y = stack.pop()
-        for c in dag.children(y):
-            if u.get(c) == k:
-                return False
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return True
 
 
 def iter_feasible(
@@ -79,7 +63,7 @@ def iter_feasible(
         else:
             options = sorted({u[c] for c in dag.children(x)} | {labels[x]})
         for k in options:
-            if k != labels[x] and not _join_keeps_contiguity(dag, u, x, k):
+            if k != labels[x] and not keeps_contiguity(dag, u, (x,), k):
                 continue
             u[x] = k
             yield from rec(idx + 1, u)

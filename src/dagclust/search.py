@@ -22,6 +22,7 @@ from .dag import (
     LayerAssignment,
     check_contiguity,
     founding_labels,
+    keeps_contiguity,
 )
 from .costs import TOL, CostModel, JEntry
 
@@ -38,7 +39,6 @@ class SearchConfig:
     stall_window: int | None = None
     prune_enabled: bool = True
     gmin_infinite: bool = False
-    root_split_filter: bool = False
     leaf_init: dict[int, int] | None = None
 
     def __post_init__(self):
@@ -217,9 +217,6 @@ class ClusterSearch:
     def _push(self, entry: _QueueEntry) -> None:
         self.pending.setdefault(entry.branch, []).append(entry)
 
-    def _queue_size(self) -> int:
-        return sum(len(v) for v in self.pending.values())
-
     def _eligible(self) -> list[_QueueEntry]:
         out = []
         for bid, entries in self.pending.items():
@@ -324,23 +321,6 @@ class ClusterSearch:
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self.dag.node_ids() if not br.u.get(x)]
 
-    def _combo_contiguous(self, br: _Branch, k: int, combo: frozenset[int]) -> bool:
-        """Adding ``combo`` to cluster k must not create a path that exits the
-        cluster and re-enters it.  All descendants of the combo are already
-        assigned, so one downward sweep per member settles it."""
-        for x in combo:
-            stack = [c for c in self.dag.children(x) if br.u.get(c) != k]
-            seen = set(stack)
-            while stack:
-                y = stack.pop()
-                for c in self.dag.children(y):
-                    if br.u.get(c) == k:
-                        return False
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-        return True
-
     def _live_entries(self, br: _Branch) -> list[JEntry]:
         return [e for i, e in enumerate(br.entries) if i not in br.absorbed]
 
@@ -421,11 +401,9 @@ class ClusterSearch:
             if all(kk == k for (kk, xx) in br.uhat if xx == x)
         }
         combos = enumerate_combos(z_all, z1)
-        if cfg.root_split_filter and getattr(self.model, "super_additive", False):
-            combos = [
-                c for c in combos if sum(1 for x in c if not dag.parents(x)) <= 1
-            ]
-        combos = [c for c in combos if self._combo_contiguous(br, k, c)]
+        # All descendants of a combo are assigned already, so the walk sees
+        # every path that could leave cluster k and come back.
+        combos = [c for c in combos if keeps_contiguity(dag, br.u, c, k)]
         if not combos:
             return []
         seen: set[frozenset[int]] = set()
@@ -520,16 +498,21 @@ def stream_search(
     """Run the search on a worker thread, yielding solutions as they appear.
 
     The channel decouples producer and consumer, so a consumer may process
-    records concurrently with the ongoing search.
+    records concurrently with the ongoing search.  An exception raised by
+    the search is re-raised in the consumer once the records before it have
+    been yielded.
     """
     import queue as _queue
     import threading
 
     chan: _queue.Queue = _queue.Queue()
+    failure: list[BaseException] = []
 
     def worker():
         try:
             search(dag, layers, model, config, on_solution=chan.put)
+        except BaseException as exc:
+            failure.append(exc)
         finally:
             chan.put(None)
 
@@ -541,3 +524,5 @@ def stream_search(
             break
         yield item
     t.join()
+    if failure:
+        raise failure[0]

@@ -125,6 +125,35 @@ def test_manifest_replay_byte_identical(tmp_path):
     assert first == again
 
 
+def test_replay_rejects_edited_input(tmp_path):
+    dag_path = tmp_path / "g.dag"
+    dag_path.write_text(open(FIG1, encoding="utf-8").read())
+    man = tmp_path / "run.json"
+    code, _ = run_cli("search", str(dag_path), "--manifest", str(man))
+    assert code == 0
+    dag_path.write_text(dag_path.read_text() + "edge B F\n")
+    code, out = run_cli("replay", str(man))
+    assert code == 2
+    assert out == ""
+
+
+def test_replay_rejects_root_split_manifest(tmp_path, capsys):
+    man = tmp_path / "run.json"
+    code, _ = run_cli("search", FIG1, "--manifest", str(man))
+    assert code == 0
+    manifest = json.loads(man.read_text())
+    manifest["config"]["root_split_filter"] = False
+    man.write_text(json.dumps(manifest))
+    assert run_cli("replay", str(man))[0] == 0
+    manifest["config"]["root_split_filter"] = True
+    man.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code, out = run_cli("replay", str(man))
+    assert code == 4
+    assert out == ""
+    assert "root_split_filter" in capsys.readouterr().err
+
+
 # -- oracle ---------------------------------------------------------------------
 
 

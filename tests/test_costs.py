@@ -3,14 +3,12 @@ import pytest
 from dagclust import (
     BnComputationCost,
     JEntry,
-    OpCostWeights,
     ValidationError,
     assign_layers,
     evaluate_mapping,
     ghat,
     parse_dag_text,
 )
-from dagclust.costs import is_super_additive_probe, root_split_filter
 from dagclust.factors import Marginalize, Multiply, eval_schedule
 
 from conftest import name_mapping
@@ -75,7 +73,9 @@ def test_transition_gathers_and_restricts(fig1, fig1_layers, fig1_model):
 
 def test_joint_layer_exceeds_split_singletons(fig1, fig1_model):
     """Overlapping-scope nodes costed as one cluster-layer exceed the sum of
-    their singleton costs (the super-additivity the filter relies on)."""
+    their singleton costs here.  This is not super-additivity in general:
+    when one child partial carries both nodes' dimensions, costing them
+    apart restricts that partial twice, which can cost more than joining."""
     idF, idG, idD, idE = (fig1.id_of(n) for n in "FGDE")
     u = {idF: 1, idG: 2}
     entries = [
@@ -164,49 +164,3 @@ def test_worked_per_step_costs(fig1, fig1_layers, fig1_model):
     by_cl = {(k, l): cost for k, l, _, cost in res.transitions}
     assert by_cl[(2, 0)] == pytest.approx(10.4, abs=1e-9)
     assert by_cl[(2, 1)] == pytest.approx(13.6, abs=1e-9)
-
-
-# -- super-additivity and root splitting ----------------------------------------------
-
-
-def test_probe_bn_model_shared_child_pairs(fig1, fig1_layers, fig1_model):
-    """Pairs whose tables meet in a shared child partial stay super-additive."""
-    pairs = [
-        (fig1.id_of("D"), fig1.id_of("E")),
-        (fig1.id_of("F"), fig1.id_of("G")),
-    ]
-    assert is_super_additive_probe(fig1, fig1_layers, fig1_model, samples=20, pairs=pairs)
-
-
-def test_probe_bn_model_finds_counterexample(fig1, fig1_layers, fig1_model):
-    """Parents riding one shared child partial are cheaper to split-restrict
-    jointly, so uniform sampling eventually hits a counterexample."""
-    assert not is_super_additive_probe(fig1, fig1_layers, fig1_model, samples=20)
-
-
-def test_probe_constant_model(fig1, fig1_layers):
-    class Flat:
-        weights = OpCostWeights()
-        super_additive = False
-
-        def transition(self, u, entries, cluster, layer, zset):
-            from dagclust.costs import Transition
-
-            return Transition(1.0, frozenset(), ())
-
-        def heuristic(self, remaining, live, u=None):
-            return 0.0
-
-    assert not is_super_additive_probe(fig1, fig1_layers, Flat(), samples=5)
-
-
-def test_root_split_filter(fig1, fig1_layers):
-    a, b, d = fig1.id_of("A"), fig1.id_of("B"), fig1.id_of("D")
-    out = root_split_filter(fig1, fig1_layers, frozenset({a, b}))
-    assert sorted(sorted(s) for s in out) == [[a], [b]]
-    assert root_split_filter(fig1, fig1_layers, frozenset({a})) == [frozenset({a})]
-    assert root_split_filter(fig1, fig1_layers, frozenset({a, b}), enabled=False) == [
-        frozenset({a, b})
-    ]
-    mixed = root_split_filter(fig1, fig1_layers, frozenset({a, b, d}))
-    assert sorted(sorted(s) for s in mixed) == [[a, d], [b, d]]

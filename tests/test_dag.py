@@ -12,11 +12,9 @@ from dagclust import (
     check_contiguity,
     classify_nodes,
     parse_dag_text,
-    same_cluster_matrix,
     search_space_size,
-    seven_node_example,
 )
-from dagclust.dag import descendants_including, founding_labels, format_dag_text
+from dagclust.dag import founding_labels, format_dag_text
 from dagclust.oracle import iter_feasible
 
 from conftest import name_mapping
@@ -129,44 +127,6 @@ def test_founding_labels(fig1, fig1_layers):
     assert named == {"F": 1, "G": 2, "D": 3, "E": 4, "A": 5, "B": 6, "C": 7}
 
 
-# -- same-cluster candidacy -----------------------------------------------------
-
-
-def test_same_cluster_matrix_example(fig1, fig1_layers):
-    s = same_cluster_matrix(fig1, fig1_layers)
-    rows = {
-        fig1.name(i): frozenset(fig1.name(j) for j in s.row(i))
-        for i in fig1.node_ids()
-    }
-    assert rows == {
-        "A": frozenset(),
-        "B": frozenset(),
-        "C": frozenset(),
-        "D": frozenset("ABD"),
-        "E": frozenset("CE"),
-        "F": frozenset("ADFG"),
-        "G": frozenset("DEG"),
-    }
-    # column read: candidate co-cluster partners when popping D
-    assert {fig1.name(i) for i in s.candidates_for(fig1.id_of("D"))} == set("DFG")
-
-
-def test_same_cluster_matrix_no_arcs():
-    d = Dag(["X", "Y"], [], validate=False)
-    l = assign_layers(d)
-    assert same_cluster_matrix(d, l).pairs == frozenset()
-
-
-def test_same_cluster_matrix_chain_against_set_oracle():
-    d = parse_dag_text("node A\nnode B\nnode C\nedge A B\nedge B C\n")
-    l = assign_layers(d)
-    s = same_cluster_matrix(d, l)
-    for i in d.node_ids():
-        closure = descendants_including(d, set(d.parents(i)))
-        expect = {j for j in closure if l.of(j) >= l.of(i)}
-        assert s.row(i) == frozenset(expect)
-
-
 # -- classification and contiguity ----------------------------------------------
 
 
@@ -208,6 +168,39 @@ def test_contiguity_all_feasible(fig1, fig1_layers):
         assert check_contiguity(fig1, u)
         count += 1
     assert count == 48
+
+
+def _raw_proposal_mappings(dag, layers):
+    """Every proposal-rule mapping, contiguous or not: leaves open their own
+    cluster, every other node opens its own or joins a child's."""
+    labels = founding_labels(dag, layers)
+    order = sorted(dag.node_ids(), key=lambda x: (layers.of(x), x))
+    out = [{}]
+    for x in order:
+        out = [
+            {**u, x: k}
+            for u in out
+            for k in {labels[x]} | {u[c] for c in dag.children(x)}
+        ]
+    return out
+
+
+def test_contiguity_check_accepts_exactly_the_feasible_set():
+    """``check_contiguity`` and ``iter_feasible`` share one walk; over raw
+    proposal-rule mappings they must agree in both directions."""
+    from conftest import random_test_dag
+
+    rejected = 0
+    for seed in range(40):
+        dag = random_test_dag(seed, n=4 + seed % 7)
+        layers = assign_layers(dag)
+        raw = {tuple(sorted(u.items())): u for u in _raw_proposal_mappings(dag, layers)}
+        accepted = {key for key, u in raw.items() if check_contiguity(dag, u)}
+        feasible = [tuple(sorted(u.items())) for u in iter_feasible(dag, layers)]
+        assert len(feasible) == len(set(feasible))
+        assert set(feasible) == accepted
+        rejected += len(raw) - len(accepted)
+    assert rejected > 0  # the corpus exercises the rejecting branch
 
 
 # -- search-space size -------------------------------------------------------------

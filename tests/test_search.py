@@ -132,6 +132,24 @@ def test_stream_matches_batch(fig1, fig1_layers, fig1_model):
     ]
 
 
+def test_stream_reraises_model_failure(fig1, fig1_layers, fig1_model):
+    class Failing:
+        weights = fig1_model.weights
+        calls = 0
+
+        def transition(self, *args):
+            Failing.calls += 1
+            if Failing.calls > 12:
+                raise RuntimeError("model failed")
+            return fig1_model.transition(*args)
+
+        def heuristic(self, *args):
+            return fig1_model.heuristic(*args)
+
+    with pytest.raises(RuntimeError, match="model failed"):
+        list(stream_search(fig1, fig1_layers, Failing(), SearchConfig(seed=4)))
+
+
 def test_stall_window_terminates_early(fig1, fig1_layers, fig1_model):
     full = search(fig1, fig1_layers, fig1_model, SearchConfig(seed=0))
     stalled = search(
