@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -84,8 +85,6 @@ def _weights(args) -> OpCostWeights:
 
 
 def _model(dag, layers, args):
-    if args.cost != "bn":
-        raise CliError(f"unknown cost model {args.cost!r}", EXIT_CONFIG)
     return BnComputationCost(dag, layers, _weights(args))
 
 
@@ -119,14 +118,19 @@ def _sha256(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
 
 
-def _manifest(command: str, input_path: str | None, config: dict) -> dict:
+def _manifest(command: str, input_path: str, config: dict, manifest_path: str | None) -> dict:
+    """The run manifest.  A relative input path is recorded relative to the
+    manifest's own directory, so a replay finds the input from anywhere."""
+    recorded = input_path
+    if manifest_path and not os.path.isabs(input_path):
+        recorded = os.path.relpath(input_path, os.path.dirname(os.path.abspath(manifest_path)))
     return {
         "artifact": "dagclust",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "command": command,
-        "input": input_path,
-        "input_sha256": _sha256(input_path) if input_path else None,
+        "input": recorded,
+        "input_sha256": _sha256(input_path),
         "config": config,
     }
 
@@ -191,7 +195,10 @@ def cmd_search(args, out) -> int:
         references = ref_rows
 
     manifest = _manifest(
-        "search", args.file, {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))}
+        "search",
+        args.file,
+        {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))},
+        args.manifest,
     )
     _write_manifest(manifest, args.manifest)
 
@@ -487,15 +494,16 @@ def cmd_replay(args, out) -> int:
             f"manifest enables options this version does not have: {', '.join(unknown)}",
             EXIT_CONFIG,
         )
-    if _sha256(manifest["input"]) != manifest.get("input_sha256"):
+    input_path = os.path.join(os.path.dirname(os.path.abspath(args.manifest)), manifest["input"])
+    if _sha256(input_path) != manifest.get("input_sha256"):
         raise CliError(
-            f"{manifest['input']} does not match the manifest's input_sha256",
+            f"{input_path} does not match the manifest's input_sha256",
             EXIT_VALIDATION,
         )
     weights = cfg.get("weights", {})
     argv = [
         "search",
-        manifest["input"],
+        input_path,
         "--alpha",
         str(cfg["alpha"]),
         "--seed",
@@ -526,7 +534,6 @@ def cmd_replay(args, out) -> int:
 def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--precise", action="store_true", help="full float precision")
-    p.add_argument("--cost", default="bn", help="cost model name")
     p.add_argument("--w-add", type=float, default=0.6)
     p.add_argument("--w-mul", type=float, default=1.0)
     p.add_argument("--w-div", type=float, default=3.0)

@@ -20,6 +20,8 @@ from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, foundi
 from .factors import (
     DEFAULT_WEIGHTS,
     OpCostWeights,
+    fold,
+    marginalize_away,
     marginalize_cost,
     multiply_cost,
     table_size,
@@ -107,39 +109,24 @@ class BnComputationCost:
         scope = frozenset(zset)
         for z in zset:
             scope |= dag.parents(z)
-
-        cost = 0.0
-        gathered: list[int] = []
-        restricted: list[tuple[frozenset[int], int, int]] = []
+        kids = frozenset().union(*(dag.children(z) for z in zset))
         order = sorted(
             range(len(entries)),
             key=lambda i: (entries[i].layer, entries[i].cluster),
         )
-        for i in order:
-            e = entries[i]
-            if not any(c in e.members for z in zset for c in dag.children(z)):
-                continue
-            gathered.append(i)
-            dims = e.dims
-            for d in sorted(dims - scope):
-                dims, c = marginalize_cost(dims, d, states, w)
-                cost += c
-            restricted.append((dims, e.layer, e.cluster))
-
-        acc: frozenset[int] = frozenset()
-        for dims, el, ek in sorted(
-            restricted, key=lambda t: (table_size(t[0], states), t[1], t[2])
-        ):
-            acc, c = multiply_cost(acc, dims, states, w)
-            cost += c
-        for z in sorted(zset):
-            acc, c = multiply_cost(acc, dag.scope(z), states, w)
-            cost += c
-        for z in sorted(zset):
-            if all(u.get(c) == cluster for c in dag.children(z)):
-                acc, c = marginalize_cost(acc, z, states, w)
-                cost += c
-        return Transition(cost=cost, dims=acc, gathered=tuple(gathered))
+        gathered = [i for i in order if not kids.isdisjoint(entries[i].members)]
+        dims, cost = fold(
+            [(entries[i].dims, entries[i].layer, entries[i].cluster) for i in gathered],
+            scope,
+            [dag.scope(z) for z in sorted(zset)],
+            states,
+            w,
+        )
+        summed = frozenset(
+            z for z in zset if all(u.get(c) == cluster for c in dag.children(z))
+        )
+        dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
+        return Transition(cost=cost, dims=dims, gathered=tuple(gathered))
 
     # -- heuristic ----------------------------------------------------------
 
@@ -168,13 +155,7 @@ class BnComputationCost:
 
     def _sweep_estimate(self, remaining: list[int], live: Sequence[JEntry]) -> float:
         dag, states, w = self.dag, self.dag.states, self.weights
-        acc: frozenset[int] = frozenset()
-        cost = 0.0
-        for e in sorted(
-            live, key=lambda e: (table_size(e.dims, states), e.layer, e.cluster)
-        ):
-            acc, c = multiply_cost(acc, e.dims, states, w)
-            cost += c
+        acc, cost = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
         todo = sorted(
             remaining,
             key=lambda x: (

@@ -60,15 +60,13 @@ class Dag:
                 raise ValidationError(f"duplicate arc {self.name(p)} -> {self.name(c)}")
             seen.add((p, c))
         self.arcs: frozenset[tuple[int, int]] = frozenset(seen)
-        self._children: dict[int, frozenset[int]] = {i: frozenset() for i in self.node_ids()}
-        self._parents: dict[int, frozenset[int]] = {i: frozenset() for i in self.node_ids()}
         kids: dict[int, set[int]] = {i: set() for i in self.node_ids()}
         pars: dict[int, set[int]] = {i: set() for i in self.node_ids()}
         for p, c in self.arcs:
             kids[p].add(c)
             pars[c].add(p)
-        self._children = {i: frozenset(kids[i]) for i in self.node_ids()}
-        self._parents = {i: frozenset(pars[i]) for i in self.node_ids()}
+        self._children: dict[int, frozenset[int]] = {i: frozenset(kids[i]) for i in self.node_ids()}
+        self._parents: dict[int, frozenset[int]] = {i: frozenset(pars[i]) for i in self.node_ids()}
         if validate:
             self._validate()
 

@@ -86,6 +86,56 @@ def divide_cost(
     return table_size(dims, states) * w.div
 
 
+def marginalize_away(
+    dims: frozenset[int],
+    keep: frozenset[int],
+    states: Mapping[int, int],
+    w: OpCostWeights = DEFAULT_WEIGHTS,
+    cost: float = 0.0,
+) -> tuple[frozenset[int], float]:
+    """Sum ``dims - keep`` out of a table, in ascending id order.
+
+    ``cost`` is the running total of the step so far.  Each charge is added
+    to it in turn, so a step's float total does not depend on how its work
+    is split between calls.
+    """
+    for d in sorted(dims - keep):
+        dims, c = marginalize_cost(dims, d, states, w)
+        cost += c
+    return dims, cost
+
+
+def fold(
+    parts: Iterable[tuple[frozenset[int], int, int]],
+    keep: frozenset[int] | None,
+    tables: Iterable[frozenset[int]],
+    states: Mapping[int, int],
+    w: OpCostWeights = DEFAULT_WEIGHTS,
+) -> tuple[frozenset[int], float]:
+    """The product step of the cluster calculus; returns (dims, cost).
+
+    Each ``(dims, layer, cluster)`` part is a partial result flowing in from
+    another cluster-layer.  The parts are cut down to ``keep`` in the order
+    given (``None`` keeps everything), then multiplied into an empty table
+    smallest first, ties broken by layer and then cluster, and the
+    ``tables`` are multiplied in after them in order.
+    """
+    cost = 0.0
+    cut = []
+    for dims, layer, cluster in parts:
+        if keep is not None:
+            dims, cost = marginalize_away(dims, keep, states, w, cost)
+        cut.append((dims, layer, cluster))
+    acc: frozenset[int] = frozenset()
+    for dims, _, _ in sorted(cut, key=lambda t: (table_size(t[0], states), t[1], t[2])):
+        acc, c = multiply_cost(acc, dims, states, w)
+        cost += c
+    for dims in tables:
+        acc, c = multiply_cost(acc, dims, states, w)
+        cost += c
+    return acc, cost
+
+
 # ---------------------------------------------------------------------------
 # Schedules
 

@@ -6,7 +6,8 @@ would execute and totals its operation costs:
 * a forward pass from root layers toward the leaves, keeping a cluster's
   link dimensions alive in its running partial result,
 * a backward pass from the leaves upward, computed only for cluster-layers
-  whose result some consumer actually folds in,
+  whose result some consumer actually folds in; each upward partial is the
+  search engine's transition for that cluster-layer,
 * absorption of backward results into clusters that have no incoming arcs
   (their members never get a backward partial of their own), and
 * one posterior-combination step per node.
@@ -19,13 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, classify_nodes
-from .factors import (
-    DEFAULT_WEIGHTS,
-    OpCostWeights,
-    marginalize_cost,
-    multiply_cost,
-    table_size,
-)
+from .costs import BnComputationCost, JEntry
+from .factors import DEFAULT_WEIGHTS, OpCostWeights, fold, marginalize_away
 
 
 @dataclass(frozen=True)
@@ -44,37 +40,6 @@ class InferenceCost:
 
     def phase_total(self, phase: str) -> float:
         return sum(s.cost for s in self.steps if s.phase == phase)
-
-
-class _Accumulator:
-    """Tracks dims of one partial result while charging primitive costs."""
-
-    def __init__(self, states, weights):
-        self.states = states
-        self.w = weights
-        self.dims: frozenset[int] = frozenset()
-        self.cost = 0.0
-
-    def mult(self, dims: frozenset[int]) -> None:
-        self.dims, c = multiply_cost(self.dims, dims, self.states, self.w)
-        self.cost += c
-
-    def marg(self, node: int) -> None:
-        self.dims, c = marginalize_cost(self.dims, node, self.states, self.w)
-        self.cost += c
-
-    def marg_away(self, keep: frozenset[int]) -> None:
-        for d in sorted(self.dims - keep):
-            self.marg(d)
-
-
-def _restricted(dims: frozenset[int], keep: frozenset[int], acc: _Accumulator) -> frozenset[int]:
-    """Marginalize a copy of ``dims`` down to ``dims & keep``, charging acc."""
-    cur = dims
-    for d in sorted(dims - keep):
-        cur, c = marginalize_cost(cur, d, acc.states, acc.w)
-        acc.cost += c
-    return cur
 
 
 def cluster_inference_schedule(
@@ -105,8 +70,8 @@ def cluster_inference_schedule(
 
     steps: list[InferenceStep] = []
 
-    def put(phase, k, l, label, acc):
-        steps.append(InferenceStep(phase, k, l, label, acc.cost))
+    def put(phase, k, l, label, cost):
+        steps.append(InferenceStep(phase, k, l, label, cost))
 
     # ---- forward pass -----------------------------------------------------
     fwd: dict[tuple[int, int], frozenset[int]] = {}
@@ -116,33 +81,24 @@ def cluster_inference_schedule(
         if root_cluster[k]:
             # No incoming arcs: fold the whole cluster's tables into one
             # joint, then give each link layer its own exported marginal.
-            acc = _Accumulator(states, weights)
-            for x in sorted(clusters[k], key=lambda x: (layers.of(x), x)):
-                acc.mult(dag.scope(x))
-            joint[k] = acc.dims
-            put("forward", k, cl_layers[k][-1], f"joint over cluster {k}", acc)
+            own = sorted(clusters[k], key=lambda x: (layers.of(x), x))
+            joint[k], cost = fold((), None, [dag.scope(x) for x in own], states, weights)
+            put("forward", k, cl_layers[k][-1], f"joint over cluster {k}", cost)
             for l in cl_layers[k]:
                 exported = link[k] & members_at[(k, l)]
                 if exported:
-                    ex = _Accumulator(states, weights)
-                    ex.dims = acc.dims
-                    ex.marg_away(exported)
-                    fwd[(k, l)] = ex.dims
-                    put("forward", k, l, f"export link dims at layer {l}", ex)
+                    fwd[(k, l)], cost = marginalize_away(joint[k], exported, states, weights)
+                    put("forward", k, l, f"export link dims at layer {l}", cost)
 
     for l in range(layers.l_max, -1, -1):
         for k in sorted(k for k in clusters if (k, l) in members_at):
             if root_cluster[k]:
                 continue
             z = members_at[(k, l)]
-            pending = frozenset(
-                x for x in clusters[k] if layers.of(x) < l
+            pending_parents = frozenset().union(
+                *(dag.parents(x) for x in clusters[k] if layers.of(x) < l)
             )
             scope = frozenset().union(*(dag.scope(x) for x in z))
-            keep_in = scope | link[k] | frozenset().union(
-                *(dag.parents(m) for m in pending), frozenset()
-            )
-            acc = _Accumulator(states, weights)
             incoming: list[tuple[frozenset[int], int, int]] = []
             above = [ll for ll in cl_layers[k] if ll > l]
             if above:
@@ -158,83 +114,43 @@ def cluster_inference_schedule(
             )
             for (kk, ll) in ext:
                 incoming.append((fwd[(kk, ll)], ll, kk))
-            restricted = [
-                (_restricted(dims, keep_in, acc), ll, kk)
-                for dims, ll, kk in sorted(incoming, key=lambda t: (t[1], t[2]))
-            ]
-            for dims, ll, kk in sorted(
-                restricted, key=lambda t: (table_size(t[0], states), t[1], t[2])
-            ):
-                acc.mult(dims)
-            for x in sorted(z):
-                acc.mult(dag.scope(x))
-            keep_out = (
-                (link[k] & acc.dims)
-                | frozenset(x for x in z if not dag.children(x))
-                | frozenset(
-                    x for x in z if any(mapping[c] == k for c in dag.children(x))
-                )
-                | frozenset().union(*(dag.parents(m) for m in pending), frozenset())
+            dims, cost = fold(
+                sorted(incoming, key=lambda t: (t[1], t[2])),
+                scope | link[k] | pending_parents,
+                [dag.scope(x) for x in sorted(z)],
+                states,
+                weights,
             )
-            acc.marg_away(keep_out)
-            fwd[(k, l)] = acc.dims
-            put("forward", k, l, f"partial for cluster {k} layer {l}", acc)
+            keep_out = (
+                link[k]
+                | frozenset(
+                    x
+                    for x in z
+                    if not dag.children(x) or any(mapping[c] == k for c in dag.children(x))
+                )
+                | pending_parents
+            )
+            fwd[(k, l)], cost = marginalize_away(dims, keep_out, states, weights, cost)
+            put("forward", k, l, f"partial for cluster {k} layer {l}", cost)
 
     # ---- backward pass (needed results only) -------------------------------
-    child_cls: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (k, l), z in members_at.items():
-        seen = sorted(
-            {
-                (mapping[c], layers.of(c))
-                for x in z
-                for c in dag.children(x)
-            }
-        )
-        child_cls[(k, l)] = seen
-
-    needed: set[tuple[int, int]] = set()
-
-    def require(cl: tuple[int, int]) -> None:
-        if cl in needed or root_cluster[cl[0]]:
-            return
-        needed.add(cl)
-        for sub in child_cls[cl]:
-            require(sub)
-
-    for k, ms in clusters.items():
-        if root_cluster[k]:
-            for x in ms:
-                for c in dag.children(x):
-                    if mapping[c] != k:
-                        require((mapping[c], layers.of(c)))
-        else:
-            for x in ms:
-                for c in dag.children(x):
-                    require((mapping[c], layers.of(c)))
-
+    # A cluster-layer's upward partial is needed when one of its members has
+    # a parent; root clusters absorb instead.  Each partial is the engine's
+    # transition for that cluster-layer.
+    needed = {
+        (mapping[x], layers.of(x))
+        for x in dag.node_ids()
+        if dag.parents(x) and not root_cluster[mapping[x]]
+    }
+    engine = BnComputationCost(dag, layers, weights)
+    entries: list[JEntry] = []
     bwd: dict[tuple[int, int], frozenset[int]] = {}
     for (k, l) in sorted(needed, key=lambda t: (t[1], t[0])):
         z = members_at[(k, l)]
-        scope = frozenset().union(*(dag.scope(x) for x in z))
-        acc = _Accumulator(states, weights)
-        incoming = [
-            (bwd[cl], cl[1], cl[0]) for cl in child_cls[(k, l)] if cl in bwd
-        ]
-        restricted = [
-            (_restricted(dims, scope, acc), ll, kk)
-            for dims, ll, kk in sorted(incoming, key=lambda t: (t[1], t[2]))
-        ]
-        for dims, ll, kk in sorted(
-            restricted, key=lambda t: (table_size(t[0], states), t[1], t[2])
-        ):
-            acc.mult(dims)
-        for x in sorted(z):
-            acc.mult(dag.scope(x))
-        for x in sorted(z):
-            if all(mapping[c] == k for c in dag.children(x)):
-                acc.marg(x)
-        bwd[(k, l)] = acc.dims
-        put("backward", k, l, f"upward partial for cluster {k} layer {l}", acc)
+        t = engine.transition(mapping, entries, k, l, z)
+        entries.append(JEntry(k, l, z, t.dims))
+        bwd[(k, l)] = t.dims
+        put("backward", k, l, f"upward partial for cluster {k} layer {l}", t.cost)
 
     # ---- absorption into root clusters -------------------------------------
     absorbed: dict[int, frozenset[int]] = {}
@@ -252,44 +168,31 @@ def cluster_inference_schedule(
         if not ext:
             absorbed[k] = joint[k]
             continue
-        acc = _Accumulator(states, weights)
-        cluster_dims = frozenset(clusters[k])
-        parts = [
-            (_restricted(bwd[cl], cluster_dims, acc), cl[1], cl[0]) for cl in ext
-        ]
+        # The joint lies within the cluster, so cutting it charges nothing.
+        parts = [(bwd[cl], cl[1], cl[0]) for cl in ext]
         parts.append((joint[k], layers.of(min(clusters[k])), k))
-        for dims, ll, kk in sorted(parts, key=lambda t: (table_size(t[0], states), t[1], t[2])):
-            acc.mult(dims)
-        absorbed[k] = acc.dims
-        put("absorb", k, cl_layers[k][-1], f"fold upward results into cluster {k}", acc)
+        absorbed[k], cost = fold(parts, frozenset(clusters[k]), (), states, weights)
+        put("absorb", k, cl_layers[k][-1], f"fold upward results into cluster {k}", cost)
 
     # ---- posteriors ---------------------------------------------------------
     for x in sorted(dag.node_ids()):
         k = mapping[x]
         l = layers.of(x)
-        acc = _Accumulator(states, weights)
+        cost = 0.0
         if root_cluster[k]:
-            acc.dims = absorbed[k]
-            acc.marg_away(frozenset({x}))
+            dims = absorbed[k]
         else:
-            own = fwd[(k, l)]
+            dims = fwd[(k, l)]
             child_sources = sorted(
                 {(mapping[c], layers.of(c)) for c in dag.children(x)}
             )
-            parts = [
-                (_restricted(bwd[cl], own, acc), cl[1], cl[0])
-                for cl in child_sources
-            ]
-            parts.append((own, l, k))
-            if len(parts) > 1:
-                for dims, ll, kk in sorted(
-                    parts, key=lambda t: (table_size(t[0], states), t[1], t[2])
-                ):
-                    acc.mult(dims)
-            else:
-                acc.dims = own
-            acc.marg_away(frozenset({x}))
-        put("posterior", k, l, f"posterior of {dag.name(x)}", acc)
+            # With no child sources the own partial is used as it is.
+            if child_sources:
+                parts = [(bwd[cl], cl[1], cl[0]) for cl in child_sources]
+                parts.append((dims, l, k))
+                dims, cost = fold(parts, dims, (), states, weights)
+        _, cost = marginalize_away(dims, frozenset({x}), states, weights, cost)
+        put("posterior", k, l, f"posterior of {dag.name(x)}", cost)
 
     total = sum(s.cost for s in steps)
     return InferenceCost(total=total, steps=steps)

@@ -89,7 +89,6 @@ class _QueueEntry:
     cluster: int
     layer: int
     ghat: float
-    g_at: float
     seq: int
 
 
@@ -97,7 +96,6 @@ class _QueueEntry:
 class _Branch:
     id: int
     u: dict[int, int]
-    uhat: set[tuple[int, int]]  # (cluster, node) proposal indicators
     entries: list[JEntry]
     absorbed: set[int]
     g: dict[int, float]  # per-layer cost increments
@@ -115,7 +113,6 @@ class _Branch:
         return _Branch(
             id=new_id,
             u=dict(self.u),
-            uhat=set(self.uhat),
             entries=list(self.entries),
             absorbed=set(self.absorbed),
             g=dict(self.g),
@@ -197,7 +194,6 @@ class ClusterSearch:
         b = _Branch(
             id=next(self._next_branch),
             u={},
-            uhat=set(),
             entries=[],
             absorbed=set(),
             g={},
@@ -205,12 +201,13 @@ class ClusterSearch:
             active=True,
         )
         self.branches[b.id] = b
+        leaf_labels = self._leaf_labels()
+        self.own_label = {**self.labels, **leaf_labels}
         pushed = set()
-        for x, k in sorted(self._leaf_labels().items()):
-            b.uhat.add((k, x))
+        for x, k in sorted(leaf_labels.items()):
             if k not in pushed:
                 pushed.add(k)
-                self._push(_QueueEntry(b.id, k, 0, h_all, 0.0, next(self._seq)))
+                self._push(_QueueEntry(b.id, k, 0, h_all, next(self._seq)))
 
     # -- queue helpers ----------------------------------------------------------
 
@@ -311,12 +308,9 @@ class ClusterSearch:
             existing = sorted({br.u[c] for c in self.dag.children(p) if br.u.get(c)})
             l = self.layers.of(p)
             for k in existing + [self.labels[p]]:
-                br.uhat.add((k, p))
                 if (k, l) not in present:
                     present.add((k, l))
-                    self._push(
-                        _QueueEntry(br.id, k, l, ghat_val, br.cum_g(), next(self._seq))
-                    )
+                    self._push(_QueueEntry(br.id, k, l, ghat_val, next(self._seq)))
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self.dag.node_ids() if not br.u.get(x)]
@@ -393,21 +387,22 @@ class ClusterSearch:
     def _process_pop(self, br: _Branch, entry: _QueueEntry) -> list[SolutionRecord]:
         dag, layers, cfg = self.dag, self.layers, self.config
         k, l = entry.cluster, entry.layer
-        proposed = {x for x in layers.members.get(l, ()) if (k, x) in br.uhat}
-        z_all = {x for x in proposed if not br.u.get(x)}
-        z1 = {
-            x
-            for x in z_all
-            if all(kk == k for (kk, xx) in br.uhat if xx == x)
+        # A proposal with unassigned layer-l nodes pops only at l == progress,
+        # so their children are all assigned and each node's proposals are
+        # its own label and its children's clusters.
+        proposals = {
+            x: {self.own_label[x]} | {br.u[c] for c in dag.children(x)}
+            for x in layers.members.get(l, ())
+            if not br.u.get(x)
         }
+        z_all = {x for x, ks in proposals.items() if k in ks}
+        z1 = {x for x in z_all if proposals[x] == {k}}
         combos = enumerate_combos(z_all, z1)
         # All descendants of a combo are assigned already, so the walk sees
         # every path that could leave cluster k and come back.
         combos = [c for c in combos if keeps_contiguity(dag, br.u, c, k)]
         if not combos:
             return []
-        seen: set[frozenset[int]] = set()
-        combos = [c for c in combos if not (c in seen or seen.add(c))]
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
         duplicable = list(self.pending.get(br.id, ()))
@@ -416,7 +411,7 @@ class ClusterSearch:
             self.branches[nb.id] = nb
             for e in duplicable:
                 self._push(
-                    _QueueEntry(nb.id, e.cluster, e.layer, e.ghat, e.g_at, next(self._seq))
+                    _QueueEntry(nb.id, e.cluster, e.layer, e.ghat, next(self._seq))
                 )
             holders.append((nb, combo))
 

@@ -125,6 +125,23 @@ def test_manifest_replay_byte_identical(tmp_path):
     assert first == again
 
 
+def test_replay_resolves_relative_input_against_manifest(tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "data" / "g.dag").write_text(open(FIG1, encoding="utf-8").read())
+    monkeypatch.chdir(tmp_path)
+    code, first = run_cli("search", "data/g.dag", "--seed", "3", "--manifest", "runs/run.json")
+    assert code == 0
+    assert json.loads((tmp_path / "runs" / "run.json").read_text())["input"] == os.path.join(
+        "..", "data", "g.dag"
+    )
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    code, again = run_cli("replay", "../runs/run.json")
+    assert code == 0
+    assert first == again
+
+
 def test_replay_rejects_edited_input(tmp_path):
     dag_path = tmp_path / "g.dag"
     dag_path.write_text(open(FIG1, encoding="utf-8").read())

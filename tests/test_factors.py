@@ -12,7 +12,9 @@ from dagclust.factors import (
     divide_cost,
     dump_schedule_tsv,
     eval_schedule,
+    fold,
     jointree_fixture_cost,
+    marginalize_away,
     marginalize_cost,
     multiply_cost,
     table_size,
@@ -128,6 +130,35 @@ def test_schedule_total_matches_recomputed_primitives():
             acc, c = marginalize_cost(acc, step.node, BIN, W)
         expect += c
     assert total == pytest.approx(expect, abs=1e-9)
+
+
+def test_fold_matches_explicit_schedule():
+    """Parts are cut first, then multiplied smallest first with ties broken
+    by layer, then the own tables follow in order."""
+    states = {**BIN, 3: 3}
+    parts = [(fs(1, 2, 3), 1, 5), (fs(4), 0, 9), (fs(2, 4), 0, 7)]
+    dims, cost = fold(parts, fs(1, 2, 4), [fs(1, 6)], states, W)
+    total, _ = eval_schedule(
+        [
+            Load("cut", fs(1, 2, 3)),
+            Marginalize("cut", 3),
+            Multiply("acc", fs(4)),
+            Multiply("acc", fs(2, 4)),
+            Multiply("acc", fs(1, 2)),
+            Multiply("acc", fs(1, 6)),
+        ],
+        states,
+        W,
+    )
+    assert dims == fs(1, 2, 4, 6)
+    assert cost == total
+    assert fold(parts, None, (), states, W)[0] == fs(1, 2, 3, 4)
+
+
+def test_marginalize_away_continues_the_running_sum():
+    dims, cost = marginalize_away(fs(1, 2, 3), fs(2), BIN, W, cost=0.1)
+    assert dims == fs(2)
+    assert cost == (0.1 + 4 * 0.6) + 2 * 0.6
 
 
 def test_dump_tsv(fig1):

@@ -171,6 +171,16 @@ def test_explicit_leaf_init(fig1, fig1_layers, fig1_model):
     assert res.report.optimal_solution_count == 3
 
 
+def test_relabelled_leaf_init(fig1, fig1_layers, fig1_model):
+    """Leaves propose the labels leaf_init gives them, not their founding
+    labels; the optima are the same partitions."""
+    cfg = SearchConfig(leaf_init={fig1.id_of("F"): 8, fig1.id_of("G"): 9})
+    res = search(fig1, fig1_layers, fig1_model, cfg)
+    assert res.report.optimal_cost == pytest.approx(54.0, abs=1e-9)
+    assert res.report.optimal_solution_count == 3
+    assert {s.mapping[fig1.id_of("F")] for s in res.solutions} == {8}
+
+
 def test_merged_leaf_init(fig1, fig1_layers, fig1_model):
     cfg = SearchConfig(leaf_init={fig1.id_of("F"): 1, fig1.id_of("G"): 1})
     res = search(fig1, fig1_layers, fig1_model, cfg)
@@ -219,7 +229,7 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     br = cs.branches[1]
     clone = br.clone(99, creation_layer=1)
     cs.branches[99] = clone
-    cs._push(type(cs.pending[1][0])(99, 3, 0, 50.0, 0.0, 999))
+    cs._push(type(cs.pending[1][0])(99, 3, 0, 50.0, 999))
     assert all(e.branch != 99 for e in cs._eligible())
     assert any(e.branch == 99 for e in cs._inactive_entries())
     clone.active = True
