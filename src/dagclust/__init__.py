@@ -21,7 +21,7 @@ from .costs import BnComputationCost, JEntry, evaluate_mapping, ghat
 from .inference import cluster_inference_cost
 from .generator import GeneratorSpec, generate_dag
 from .search import SearchConfig, SolutionRecord, partition_signature, search, stream_search
-from .oracle import enumerate_feasible, optimal_set, similarity, total_cost
+from .oracle import enumerate_feasible, optimal_set, similarity
 
 __all__ = [
     "CapExceededError",
@@ -53,5 +53,4 @@ __all__ = [
     "enumerate_feasible",
     "optimal_set",
     "similarity",
-    "total_cost",
 ]

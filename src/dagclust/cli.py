@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -171,54 +172,51 @@ def _search_config(args) -> SearchConfig:
             max_iterations=args.max_iters,
             stall_window=args.stall,
             prune_enabled=not args.no_prune,
-            gmin_infinite=args.gmin_inf,
         )
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
 
 
-def cmd_search(args, out) -> int:
+def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if line:
+            rows.append(_parse_mapping(dag, line))
+    if not rows:
+        raise CliError("reference file holds no mappings", EXIT_VALIDATION)
+    return rows
+
+
+def cmd_search(args, out, manifest: dict | None = None) -> int:
+    """Run one search.  A replay passes the manifest it ran from, which the
+    JSON output then embeds unchanged."""
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
     config = _search_config(args)
-    references = None
-    if args.reference:
-        ref_rows = []
-        with open(args.reference, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    ref_rows.append(_parse_mapping(dag, line))
-        if not ref_rows:
-            raise CliError("reference file holds no mappings", EXIT_VALIDATION)
-        references = ref_rows
+    references = _read_references(dag, args.reference) if args.reference else None
 
-    manifest = _manifest(
-        "search",
-        args.file,
-        {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))},
-        args.manifest,
-    )
-    _write_manifest(manifest, args.manifest)
+    if manifest is None:
+        manifest = _manifest(
+            "search",
+            args.file,
+            {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))},
+            args.manifest,
+        )
+        _write_manifest(manifest, args.manifest)
 
     result = search(dag, layers, model, config)
-    for rec in result.solutions:
-        if references is not None:
-            rec.similarity = mapping_similarity(rec.mapping, references)
+    # The incumbent at each row: the best total emitted so far.
+    incumbents = list(itertools.accumulate((r.total_cost for r in result.solutions), min))
 
     w = model.weights
-    report = {
-        "optimal_cost": result.report.optimal_cost,
-        "optimal_solution_count": result.report.optimal_solution_count,
-        "iterations_total": result.report.iterations_total,
-        "iteration_of_first_optimal": result.report.iteration_of_first_optimal,
-        "branches_created": result.report.branches_created,
-        "branches_complete": result.report.branches_complete,
-        "solutions_emitted": result.report.solutions_emitted,
-        "gmin": result.report.gmin,
-        "terminated_early": result.report.terminated_early,
-    }
+    report = dataclasses.asdict(result.report)
     if args.format == "json":
         payload = {
             "manifest": manifest,
@@ -227,12 +225,12 @@ def cmd_search(args, out) -> int:
                     "iteration": r.iteration,
                     "branch": r.branch,
                     "total_cost": r.total_cost,
-                    "gmin": result.report.gmin,
+                    "gmin": gmin,
                     "mapping": {dag.name(x): k for x, k in sorted(r.mapping.items())},
                     "optimal": r.optimal,
-                    **({"similarity": r.similarity} if references is not None else {}),
+                    **({"similarity": mapping_similarity(r.mapping, references)} if references else {}),
                 }
-                for r in result.solutions
+                for r, gmin in zip(result.solutions, incumbents)
             ],
             "report": report,
         }
@@ -243,19 +241,17 @@ def cmd_search(args, out) -> int:
         if references is not None:
             cols.append("similarity")
         out.write("\t".join(cols) + "\n")
-        gmin_seen = float("inf")
-        for r in result.solutions:
-            gmin_seen = min(gmin_seen, r.total_cost)
+        for r, gmin in zip(result.solutions, incumbents):
             row = [
                 str(r.iteration),
                 str(r.branch),
                 _fmt(r.total_cost, w, args.precise),
-                _fmt(gmin_seen, w, args.precise),
+                _fmt(gmin, w, args.precise),
                 _mapping_str(dag, r.mapping),
                 "1" if r.optimal else "0",
             ]
             if references is not None:
-                row.append(f"{r.similarity:.4f}")
+                row.append(f"{mapping_similarity(r.mapping, references):.4f}")
             out.write("\t".join(row) + "\n")
         for key, val in report.items():
             if isinstance(val, float):
@@ -485,9 +481,9 @@ def cmd_replay(args, out) -> int:
     if manifest.get("command") != "search":
         raise CliError("only search manifests can be replayed", EXIT_CONFIG)
     cfg = manifest["config"]
-    # Options a manifest turns on that this version lacks (such as the removed
-    # root-split filter) would make the replay a different search.
-    known = {f.name for f in dataclasses.fields(SearchConfig)} | {"weights"}
+    # A key set that the flags below cannot carry (such as the removed
+    # root-split filter, or leaf_init) would make the replay a different search.
+    known = {"alpha", "seed", "max_iterations", "stall_window", "prune_enabled", "weights"}
     unknown = sorted(key for key, val in cfg.items() if key not in known and val)
     if unknown:
         raise CliError(
@@ -523,9 +519,11 @@ def cmd_replay(args, out) -> int:
         argv += ["--stall", str(cfg["stall_window"])]
     if not cfg.get("prune_enabled", True):
         argv.append("--no-prune")
-    if cfg.get("gmin_infinite"):
-        argv.append("--gmin-inf")
-    return main(argv, out)
+    try:
+        search_args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return cmd_search(search_args, out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +531,6 @@ def cmd_replay(args, out) -> int:
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--precise", action="store_true", help="full float precision")
     p.add_argument("--w-add", type=float, default=0.6)
     p.add_argument("--w-mul", type=float, default=1.0)
     p.add_argument("--w-div", type=float, default=3.0)
@@ -555,9 +552,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--stall", type=int, default=None, help="stop after this many iterations without improvement")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--gmin-inf", action="store_true", help="enumeration mode: no cost-based termination")
     p.add_argument("--reference", default=None, help="file of mappings to score similarity against")
     p.add_argument("--manifest", default=None, help="write the run manifest to this path")
+    p.add_argument("--precise", action="store_true", help="full float precision")
     _add_common(p)
     p.set_defaults(fn=cmd_search)
 
@@ -565,6 +562,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--all", action="store_true", help="dump every feasible mapping, not just the optima")
+    p.add_argument("--precise", action="store_true", help="full float precision")
     _add_common(p)
     p.set_defaults(fn=cmd_oracle)
 
@@ -574,6 +572,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", default=None, help="target node for bucket elimination")
     p.add_argument("--order", default=None, help="comma-joined elimination order")
     p.add_argument("--mapping", default=None, help="name=cluster pairs for --strategy clusters")
+    p.add_argument("--precise", action="store_true", help="full float precision")
     _add_common(p)
     p.set_defaults(fn=cmd_infer_cost)
 

@@ -38,7 +38,6 @@ class Dag:
         names: list[str],
         arcs: list[tuple[int, int]],
         states: dict[int, int] | None = None,
-        validate: bool = True,
     ):
         self.names: tuple[str, ...] = tuple(names)
         self.n = len(names)
@@ -67,8 +66,7 @@ class Dag:
             pars[c].add(p)
         self._children: dict[int, frozenset[int]] = {i: frozenset(kids[i]) for i in self.node_ids()}
         self._parents: dict[int, frozenset[int]] = {i: frozenset(pars[i]) for i in self.node_ids()}
-        if validate:
-            self._validate()
+        self._validate()
 
     def node_ids(self) -> range:
         return range(1, self.n + 1)
@@ -265,7 +263,7 @@ def search_space_size(dag: Dag, layers: LayerAssignment) -> int:
 #   edge <parent-name> <child-name>
 
 
-def parse_dag_text(text: str, validate: bool = True) -> Dag:
+def parse_dag_text(text: str) -> Dag:
     names: list[str] = []
     states: dict[int, int] = {}
     arcs: list[tuple[int, int]] = []
@@ -306,12 +304,12 @@ def parse_dag_text(text: str, validate: bool = True) -> Dag:
         if pname not in index or cname not in index:
             raise ValidationError(f"line {lineno}: edge references unknown node")
         arcs.append((index[pname], index[cname]))
-    return Dag(names, arcs, states, validate=validate)
+    return Dag(names, arcs, states)
 
 
-def load_dag(path: str, validate: bool = True) -> Dag:
+def load_dag(path: str) -> Dag:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dag_text(fh.read(), validate=validate)
+        return parse_dag_text(fh.read())
 
 
 def format_dag_text(dag: Dag) -> str:

@@ -38,9 +38,6 @@ class InferenceCost:
     total: float
     steps: list[InferenceStep]
 
-    def phase_total(self, phase: str) -> float:
-        return sum(s.cost for s in self.steps if s.phase == phase)
-
 
 def cluster_inference_schedule(
     dag: Dag,

@@ -82,20 +82,9 @@ def enumerate_feasible(
     for u in iter_feasible(dag, layers, cap):
         if not check_contiguity(dag, u):
             raise AssertionError("enumeration produced a non-contiguous mapping")
-        cost = total_cost(dag, layers, u, model) if model is not None else float("nan")
+        cost = evaluate_mapping(dag, layers, model, u).total if model is not None else float("nan")
         out.append(FeasibleMapping(u=u, total_cost=cost, signature=partition_signature(u)))
     return out
-
-
-def total_cost(
-    dag: Dag,
-    layers: LayerAssignment,
-    mapping: dict[int, int],
-    model: CostModel,
-) -> float:
-    """Cost a complete mapping by replaying its cluster-layer transitions in
-    ascending layer order, with no engine machinery involved."""
-    return evaluate_mapping(dag, layers, model, mapping).total
 
 
 def optimal_set(
@@ -108,7 +97,7 @@ def optimal_set(
     best = float("inf")
     winners: dict[tuple[int, ...], FeasibleMapping] = {}
     for u in iter_feasible(dag, layers, cap):
-        cost = total_cost(dag, layers, u, model)
+        cost = evaluate_mapping(dag, layers, model, u).total
         if cost < best - TOL:
             best = cost
             winners = {}

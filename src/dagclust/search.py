@@ -38,19 +38,16 @@ class SearchConfig:
     max_iterations: int | None = None
     stall_window: int | None = None
     prune_enabled: bool = True
-    gmin_infinite: bool = False
     leaf_init: dict[int, int] | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.gmin_infinite and self.prune_enabled:
-            raise ConfigError("enumeration mode requires pruning to be disabled")
 
     @classmethod
     def enumeration(cls, **kw) -> "SearchConfig":
+        """Every feasible mapping, nothing pruned."""
         kw.setdefault("prune_enabled", False)
-        kw.setdefault("gmin_infinite", True)
         return cls(**kw)
 
 
@@ -61,7 +58,6 @@ class SolutionRecord:
     iteration: int
     branch: int
     optimal: bool = False
-    similarity: float | None = None
 
 
 @dataclass
@@ -190,7 +186,7 @@ class ClusterSearch:
 
     def _init(self) -> None:
         h_all = self.model.heuristic(self.dag.node_ids(), [])
-        self.gmin = float("inf") if self.config.gmin_infinite else h_all
+        self.gmin = h_all
         b = _Branch(
             id=next(self._next_branch),
             u={},
@@ -449,7 +445,7 @@ class ClusterSearch:
         assert key not in self.emitted_mappings, "duplicate mapping across branches"
         self.emitted_mappings[key] = br.id
         assert check_contiguity(self.dag, mapping)
-        if not self.config.gmin_infinite and total < self.gmin - TOL:
+        if total < self.gmin - TOL:
             self.gmin = total
             self._last_improvement = self.iteration
         # A finished branch has nothing left to pop.

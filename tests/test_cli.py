@@ -1,11 +1,13 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
 
 import pytest
 
-from dagclust import assign_layers, load_dag, parse_dag_text
-from dagclust.cli import main
+from dagclust import SearchConfig, assign_layers, load_dag, parse_dag_text
+from dagclust.cli import build_parser, main
 from dagclust.generator import GeneratorSpec, degree_histogram, generate_dag
 
 FIG1 = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
@@ -74,7 +76,7 @@ def test_search_report():
 
 
 def test_search_enumeration_mode():
-    code, out = run_cli("search", FIG1, "--gmin-inf", "--no-prune")
+    code, out = run_cli("search", FIG1, "--no-prune")
     assert code == 0
     assert report_lines(out)["branches_complete"] == "48"
 
@@ -87,21 +89,35 @@ def test_search_stall_keeps_optimum():
     assert rep["optimal_solution_count"] == "3"
 
 
-def test_search_gmin_inf_with_prune_rejected():
-    code, _ = run_cli("search", FIG1, "--gmin-inf")
-    assert code == 4
-
-
 def test_search_tsv_json_parity():
-    code, tsv = run_cli("search", FIG1, "--seed", "2")
-    code2, js = run_cli("search", FIG1, "--seed", "2", "--format", "json")
+    code, tsv = run_cli("search", FIG1, "--seed", "2", "--precise")
+    code2, js = run_cli("search", FIG1, "--seed", "2", "--precise", "--format", "json")
     assert code == code2 == 0
     payload = json.loads(js)
-    tsv_cols = tsv.splitlines()[0].split("\t")
+    lines = tsv.splitlines()
+    tsv_cols = lines[0].split("\t")
     sol = payload["solutions"][0]
     for col in tsv_cols:
         assert col in sol
     assert set(report_lines(tsv)) == set(payload["report"])
+    # Both formats carry the incumbent at each row, not the final optimum.
+    rows = [dict(zip(tsv_cols, l.split("\t"))) for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == len(payload["solutions"]) > 1
+    for row, sol in zip(rows, payload["solutions"]):
+        assert float(row["total_cost"]) == sol["total_cost"]
+        assert float(row["gmin"]) == sol["gmin"]
+    gmins = [sol["gmin"] for sol in payload["solutions"]]
+    assert gmins[0] == payload["solutions"][0]["total_cost"]
+    assert gmins[-1] == payload["report"]["gmin"]
+    assert gmins[0] > gmins[-1]
+
+
+def test_search_reference_unreadable(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out = run_cli("search", FIG1, "--reference", str(missing))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {missing}" in capsys.readouterr().err
 
 
 def test_search_reference_similarity(tmp_path):
@@ -116,11 +132,14 @@ def test_search_reference_similarity(tmp_path):
     assert any(s == 1.0 for s in sims)
 
 
-def test_manifest_replay_byte_identical(tmp_path):
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_manifest_replay_byte_identical(tmp_path, fmt):
     man = tmp_path / "run.json"
-    code, first = run_cli("search", FIG1, "--seed", "7", "--alpha", "0.3", "--manifest", str(man))
+    code, first = run_cli(
+        "search", FIG1, "--seed", "7", "--alpha", "0.3", "--format", fmt, "--manifest", str(man)
+    )
     assert code == 0
-    code, again = run_cli("replay", str(man))
+    code, again = run_cli("replay", str(man), "--format", fmt)
     assert code == 0
     assert first == again
 
@@ -155,20 +174,29 @@ def test_replay_rejects_edited_input(tmp_path):
 
 
 def test_replay_rejects_root_split_manifest(tmp_path, capsys):
+    """A manifest key the replay cannot carry into the search is refused when
+    set: the removed root-split filter and enumeration flag, and leaf_init,
+    which no flag expresses.  Unset, each replays as before."""
     man = tmp_path / "run.json"
     code, _ = run_cli("search", FIG1, "--manifest", str(man))
     assert code == 0
-    manifest = json.loads(man.read_text())
-    manifest["config"]["root_split_filter"] = False
-    man.write_text(json.dumps(manifest))
-    assert run_cli("replay", str(man))[0] == 0
-    manifest["config"]["root_split_filter"] = True
-    man.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    code, out = run_cli("replay", str(man))
-    assert code == 4
-    assert out == ""
-    assert "root_split_filter" in capsys.readouterr().err
+    recorded = json.loads(man.read_text())
+    for key, off, on in [
+        ("root_split_filter", False, True),
+        ("gmin_infinite", False, True),
+        ("leaf_init", None, {"6": 1, "7": 2}),
+    ]:
+        manifest = json.loads(json.dumps(recorded))
+        manifest["config"][key] = off
+        man.write_text(json.dumps(manifest))
+        assert run_cli("replay", str(man))[0] == 0
+        manifest["config"][key] = on
+        man.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code, out = run_cli("replay", str(man))
+        assert code == 4
+        assert out == ""
+        assert key in capsys.readouterr().err
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -324,6 +352,61 @@ def test_bad_flag_exit_code():
 def test_missing_file():
     code, _ = run_cli("layers", "/nonexistent/file.dag")
     assert code == 2
+
+
+def test_removed_options_rejected():
+    assert run_cli("search", FIG1, "--gmin-inf")[0] == 4
+    assert run_cli("search", FIG1, "--gmin-inf", "--no-prune")[0] == 4
+    assert run_cli("compare", FIG1, "--precise", "--seeds", "1", "--alphas", "1")[0] == 4
+
+
+def test_option_census():
+    """Every option of every subcommand, and every search setting.  A new
+    knob shows up as a diff here."""
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    weights = ["--format", "--w-add", "--w-mul", "--w-div"]
+    assert options == {
+        "layers": ["--format"],
+        "search": [
+            "--alpha",
+            "--seed",
+            "--max-iters",
+            "--stall",
+            "--no-prune",
+            "--reference",
+            "--manifest",
+            "--precise",
+            *weights,
+        ],
+        "oracle": ["--cap", "--all", "--precise", *weights],
+        "infer-cost": ["--strategy", "--target", "--order", "--mapping", "--precise", *weights],
+        "gen": [
+            "--n",
+            "--layers",
+            "--rewire",
+            "--max-in",
+            "--max-out",
+            "--extra-arcs",
+            "--states",
+            "--seed",
+            "--out",
+        ],
+        "compare": ["--seeds", "--alphas", "--stall", "--cap", "--jobs", *weights],
+        "replay": ["--format"],
+    }
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "alpha",
+        "seed",
+        "max_iterations",
+        "stall_window",
+        "prune_enabled",
+        "leaf_init",
+    ]
 
 
 def test_precise_output():

@@ -9,11 +9,11 @@ from dagclust import (
     ValidationError,
     assign_layers,
     enumerate_feasible,
+    evaluate_mapping,
     optimal_set,
     parse_dag_text,
     search_space_size,
     similarity,
-    total_cost,
 )
 from dagclust.oracle import co_membership, iter_feasible, mapping_similarity
 from dagclust.search import partition_signature
@@ -78,7 +78,7 @@ def test_optimal_set_second_scan(seed):
     best, winners = optimal_set(dag, layers, model)
     # independent re-scan of every feasible mapping
     costs = [
-        total_cost(dag, layers, u, model) for u in iter_feasible(dag, layers)
+        evaluate_mapping(dag, layers, model, u).total for u in iter_feasible(dag, layers)
     ]
     assert best == pytest.approx(min(costs), abs=1e-9)
     ties = sum(1 for c in costs if abs(c - best) <= 1e-9)
@@ -88,7 +88,7 @@ def test_optimal_set_second_scan(seed):
 def test_total_cost_all_singletons(fig1, fig1_layers, fig1_model):
     u = {i: i for i in fig1.node_ids()}
     # frozen from an independent hand derivation of the per-layer pops
-    assert total_cost(fig1, fig1_layers, u, fig1_model) == pytest.approx(
+    assert evaluate_mapping(fig1, fig1_layers, fig1_model, u).total == pytest.approx(
         5.2 + 10.4 + 11.2 + 7.2 + 9.6 + 7.6 + 5.2, abs=1e-9
     )
 
@@ -98,7 +98,7 @@ def test_total_cost_rejects_infeasible():
     layers = assign_layers(d)
     model = BnComputationCost(d, layers)
     with pytest.raises(ValidationError):
-        total_cost(d, layers, {1: 1, 2: 2, 3: 1}, model)
+        evaluate_mapping(d, layers, model, {1: 1, 2: 2, 3: 1})
 
 
 # -- similarity ------------------------------------------------------------------

@@ -23,13 +23,6 @@ def test_alpha_range_checked():
         SearchConfig(alpha=1.5)
 
 
-def test_enumeration_mode_coupling():
-    with pytest.raises(ConfigError):
-        SearchConfig(gmin_infinite=True, prune_enabled=True)
-    cfg = SearchConfig.enumeration()
-    assert cfg.gmin_infinite and not cfg.prune_enabled
-
-
 def test_leaf_init_validation(fig1, fig1_layers, fig1_model):
     with pytest.raises(ConfigError, match="exactly the leaf nodes"):
         ClusterSearch(
@@ -184,6 +177,8 @@ def test_relabelled_leaf_init(fig1, fig1_layers, fig1_model):
 def test_merged_leaf_init(fig1, fig1_layers, fig1_model):
     cfg = SearchConfig(leaf_init={fig1.id_of("F"): 1, fig1.id_of("G"): 1})
     res = search(fig1, fig1_layers, fig1_model, cfg)
+    assert len(res.solutions) == 2
+    assert res.report.optimal_cost == pytest.approx(100.8, abs=1e-9)
     for s in res.solutions:
         assert s.mapping[fig1.id_of("F")] == s.mapping[fig1.id_of("G")] == 1
 
