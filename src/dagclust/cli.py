@@ -410,7 +410,15 @@ def cmd_compare(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+        configs = [
+            SearchConfig(alpha=alpha, seed=seed, stall_window=args.stall)
+            for seed in range(args.seeds)
+            for alpha in alphas
+        ]
+    except ValueError as exc:  # ConfigError is a ValueError
+        raise CliError(f"--alphas/--stall: {exc}", EXIT_CONFIG) from None
     oracle_best = None
     oracle_refs = None
     try:
@@ -420,13 +428,8 @@ def cmd_compare(args, out) -> int:
         pass
 
     h_all = model.heuristic(dag.node_ids(), [])
-    jobs = []
-    for seed in range(args.seeds):
-        for alpha in alphas:
-            jobs.append((seed, alpha))
 
-    def one(seed: float, alpha: float):
-        cfg = SearchConfig(alpha=alpha, seed=seed, stall_window=args.stall)
+    def one(cfg: SearchConfig):
         res = search(dag, layers, model, cfg)
         first_cost = res.solutions[0].total_cost if res.solutions else None
         first_iter = res.solutions[0].iteration if res.solutions else None
@@ -434,8 +437,8 @@ def cmd_compare(args, out) -> int:
         if oracle_refs and res.solutions:
             sim = mapping_similarity(res.solutions[-1].mapping, oracle_refs)
         return {
-            "seed": seed,
-            "alpha": alpha,
+            "seed": cfg.seed,
+            "alpha": cfg.alpha,
             "optimal_cost": res.report.optimal_cost,
             "iterations_total": res.report.iterations_total,
             "iteration_of_first_optimal": res.report.iteration_of_first_optimal,
@@ -454,9 +457,9 @@ def cmd_compare(args, out) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda sa: one(*sa), jobs))
+            rows = list(pool.map(one, configs))
     else:
-        rows = [one(*sa) for sa in jobs]
+        rows = [one(cfg) for cfg in configs]
     rows.sort(key=lambda r: (r["seed"], r["alpha"]))
 
     if args.format == "json":
@@ -480,7 +483,10 @@ def cmd_replay(args, out) -> int:
         raise CliError(f"cannot read manifest: {exc}", EXIT_VALIDATION) from None
     if manifest.get("command") != "search":
         raise CliError("only search manifests can be replayed", EXIT_CONFIG)
-    cfg = manifest["config"]
+    cfg = manifest.get("config", {})
+    missing = [key for key in ("alpha", "seed") if key not in cfg]
+    if missing:
+        raise CliError(f"manifest config lacks {', '.join(missing)}", EXIT_CONFIG)
     # A key set that the flags below cannot carry (such as the removed
     # root-split filter, or leaf_init) would make the replay a different search.
     known = {"alpha", "seed", "max_iterations", "stall_window", "prune_enabled", "weights"}

@@ -12,6 +12,7 @@ costing more, since transition costs are strictly positive.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -43,6 +44,10 @@ class SearchConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ConfigError("max_iterations must not be negative")
+        if self.stall_window is not None and self.stall_window < 0:
+            raise ConfigError("stall_window must not be negative")
 
     @classmethod
     def enumeration(cls, **kw) -> "SearchConfig":
@@ -79,7 +84,7 @@ class SearchResult:
     report: RunReport
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _QueueEntry:
     branch: int
     cluster: int
@@ -99,6 +104,9 @@ class _Branch:
     active: bool
     alive: bool = True
     emitted: bool = False
+    # While inactive: the lowest ghat and layer among the pending entries.
+    min_ghat: float = float("inf")
+    min_layer: float = float("inf")
 
     def cum_g(self, through: int | None = None) -> float:
         if through is None:
@@ -156,7 +164,12 @@ class ClusterSearch:
         self.labels = founding_labels(dag, layers)
         self.rng = random.Random(self.config.seed)
         self.pending: dict[int, list[_QueueEntry]] = {}
+        # Live branches, plus finished ones that still dominate through links.
         self.branches: dict[int, _Branch] = {}
+        self.branches_created = 0
+        self._ready: list[tuple[float, int, _QueueEntry]] = []
+        self._waiting_ghat: list[tuple[float, int, int]] = []
+        self._waiting_layer: list[tuple[int, int, int]] = []
         self.links: dict[tuple[int, tuple], set[int]] = {}
         self.branch_links: dict[int, list[tuple[int, tuple]]] = {}
         self.gmin = float("inf")
@@ -164,7 +177,6 @@ class ClusterSearch:
         self.branches_complete = 0
         self.emitted_mappings: dict[tuple, int] = {}
         self._seq = itertools.count()
-        self._next_branch = itertools.count(1)
         self._last_improvement = 0
 
     # -- setup ----------------------------------------------------------------
@@ -187,8 +199,9 @@ class ClusterSearch:
     def _init(self) -> None:
         h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
+        self.branches_created = 1
         b = _Branch(
-            id=next(self._next_branch),
+            id=1,
             u={},
             entries=[],
             absorbed=set(),
@@ -205,34 +218,86 @@ class ClusterSearch:
                 pushed.add(k)
                 self._push(_QueueEntry(b.id, k, 0, h_all, next(self._seq)))
 
-    # -- queue helpers ----------------------------------------------------------
+    # -- queue index ------------------------------------------------------------
+    #
+    # ``_ready`` holds the entries of active branches at or below their
+    # progress, keyed (ghat, seq).  The two waiting heaps index inactive
+    # branches by their lowest (ghat, seq) and (layer, seq).  Deletion is
+    # lazy: an item whose branch was dropped, emitted or (waiting heaps only)
+    # activated is discarded when it reaches the top.
 
     def _push(self, entry: _QueueEntry) -> None:
         self.pending.setdefault(entry.branch, []).append(entry)
+        br = self.branches[entry.branch]
+        if br.active:
+            if entry.layer <= br.progress:
+                heapq.heappush(self._ready, (entry.ghat, entry.seq, entry))
+            return
+        # An inactive branch's entries only grow, and seq rises, so its
+        # lowest key moves only when a strictly lower ghat or layer arrives.
+        if entry.ghat < br.min_ghat:
+            br.min_ghat = entry.ghat
+            heapq.heappush(self._waiting_ghat, (entry.ghat, entry.seq, br.id))
+        if entry.layer < br.min_layer:
+            br.min_layer = entry.layer
+            heapq.heappush(self._waiting_layer, (entry.layer, entry.seq, br.id))
 
-    def _eligible(self) -> list[_QueueEntry]:
-        out = []
-        for bid, entries in self.pending.items():
-            br = self.branches[bid]
-            if br.alive and br.active:
-                p = br.progress
-                out.extend(e for e in entries if e.layer <= p)
-        return out
+    def _activate(self, br: _Branch) -> None:
+        br.active = True
+        for e in self.pending.get(br.id, ()):
+            if e.layer <= br.progress:
+                heapq.heappush(self._ready, (e.ghat, e.seq, e))
 
-    def _inactive_entries(self) -> list[_QueueEntry]:
-        out = []
-        for bid, entries in self.pending.items():
-            br = self.branches[bid]
-            if br.alive and not br.active:
-                out.extend(entries)
-        return out
+    def _advance(self, br: _Branch) -> None:
+        """Mark the branch's lowest incomplete layer complete."""
+        br.progress += 1
+        if br.active:
+            for e in self.pending.get(br.id, ()):
+                if e.layer == br.progress:
+                    heapq.heappush(self._ready, (e.ghat, e.seq, e))
+
+    def _take_ready(self) -> _QueueEntry | None:
+        """Remove and return the eligible entry with the lowest (ghat, seq)."""
+        while self._ready:
+            entry = heapq.heappop(self._ready)[2]
+            br = self.branches.get(entry.branch)
+            if br is not None and not br.emitted:
+                self.pending[entry.branch].remove(entry)
+                return entry
+        return None
+
+    def _next_waiting(self) -> _Branch | None:
+        """The inactive branch to activate: the one holding the lowest
+        (ghat, seq) with probability alpha, else the lowest (layer, seq).
+        None, without an RNG draw, when no inactive branch has entries."""
+        by_ghat = self._waiting_top(self._waiting_ghat)
+        if by_ghat is None:
+            return None
+        if self.rng.random() < self.config.alpha:
+            return by_ghat
+        return self._waiting_top(self._waiting_layer)
+
+    def _waiting_top(self, heap: list) -> _Branch | None:
+        while heap:
+            br = self.branches.get(heap[0][2])
+            if br is not None and not br.emitted and not br.active:
+                return br
+            heapq.heappop(heap)
+        return None
 
     def _kill(self, branch_id: int) -> None:
-        br = self.branches.get(branch_id)
-        if br is None or not br.alive:
-            return
-        br.alive = False
+        self.branches[branch_id].alive = False
+        self._drop(branch_id)
+
+    def _drop(self, branch_id: int) -> None:
+        """Forget a branch that will never pop again; its heap items lapse."""
+        del self.branches[branch_id]
         self.pending.pop(branch_id, None)
+        for key in self.branch_links.pop(branch_id, ()):
+            linked = self.links[key]
+            linked.discard(branch_id)
+            if not linked:
+                del self.links[key]
 
     # -- linking / pruning --------------------------------------------------------
 
@@ -277,8 +342,7 @@ class ClusterSearch:
         rivals: set[int] = set()
         for key in self.branch_links.get(br.id, []):
             if key[0] == layer:
-                rivals |= self.links.get(key, set())
-        rivals = {j for j in rivals if j in self.branches and self.branches[j].alive}
+                rivals |= self.links[key]
         rivals.add(br.id)
         if len(rivals) > 1:
             best = min(self.branches[j].cum_g(layer - 1) for j in rivals)
@@ -332,23 +396,15 @@ class ClusterSearch:
             ):
                 terminated_early = True
                 break
-            if not any(self.pending.values()):
-                break
-            eligible = self._eligible()
-            if not eligible:
-                waiting = self._inactive_entries()
-                if not waiting:
+            entry = self._take_ready()
+            if entry is None:
+                pick = self._next_waiting()
+                if pick is None:
                     break
                 self.iteration += 1
-                if self.rng.random() < cfg.alpha:
-                    pick = min(waiting, key=lambda e: (e.ghat, e.seq))
-                else:
-                    pick = min(waiting, key=lambda e: (e.layer, e.seq))
-                self.branches[pick.branch].active = True
+                self._activate(pick)
                 continue
             self.iteration += 1
-            entry = min(eligible, key=lambda e: (e.ghat, e.seq))
-            self.pending[entry.branch].remove(entry)
             br = self.branches[entry.branch]
             if cfg.prune_enabled:
                 self._prune_at_pop(br, entry.layer)
@@ -372,7 +428,7 @@ class ClusterSearch:
             optimal_solution_count=len(optimal_partitions),
             iterations_total=self.iteration,
             iteration_of_first_optimal=first_optimal,
-            branches_created=len(self.branches),
+            branches_created=self.branches_created,
             branches_complete=self.branches_complete,
             solutions_emitted=len(solutions),
             gmin=gmin_final,
@@ -403,7 +459,8 @@ class ClusterSearch:
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
         duplicable = list(self.pending.get(br.id, ()))
         for combo in combos[1:]:
-            nb = br.clone(next(self._next_branch), l)
+            self.branches_created += 1
+            nb = br.clone(self.branches_created, l)
             self.branches[nb.id] = nb
             for e in duplicable:
                 self._push(
@@ -424,7 +481,7 @@ class ClusterSearch:
             holder.g[l] = holder.g.get(l, 0.0) + t.cost
             layer_done = all(holder.u.get(x) for x in layers.members.get(l, ()))
             if layer_done:
-                holder.progress = l + 1
+                self._advance(holder)
                 if l == layers.l_max:
                     rec = self._emit(holder)
                     if rec is not None:
@@ -448,8 +505,13 @@ class ClusterSearch:
         if total < self.gmin - TOL:
             self.gmin = total
             self._last_improvement = self.iteration
-        # A finished branch has nothing left to pop.
-        self.pending.pop(br.id, None)
+        # A finished branch has nothing left to pop.  If linked, it still
+        # dominates rivals that reach its frontier later, so it stays until a
+        # rival kills it.
+        if self.branch_links.get(br.id):
+            self.pending.pop(br.id, None)
+        else:
+            self._drop(br.id)
         return SolutionRecord(
             mapping=mapping,
             total_cost=total,

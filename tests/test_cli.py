@@ -89,6 +89,14 @@ def test_search_stall_keeps_optimum():
     assert rep["optimal_solution_count"] == "3"
 
 
+@pytest.mark.parametrize("flag,value", [("--max-iters", "-3"), ("--stall", "-1")])
+def test_search_negative_limit_rejected(flag, value, capsys):
+    code, out = run_cli("search", FIG1, flag, value)
+    assert code == 4
+    assert out == ""
+    assert "negative" in capsys.readouterr().err
+
+
 def test_search_tsv_json_parity():
     code, tsv = run_cli("search", FIG1, "--seed", "2", "--precise")
     code2, js = run_cli("search", FIG1, "--seed", "2", "--precise", "--format", "json")
@@ -197,6 +205,20 @@ def test_replay_rejects_root_split_manifest(tmp_path, capsys):
         assert code == 4
         assert out == ""
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["alpha", "seed"])
+def test_replay_rejects_manifest_without_key(tmp_path, capsys, key):
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    manifest = json.loads(man.read_text())
+    del manifest["config"][key]
+    man.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code, out = run_cli("replay", str(man))
+    assert code == 4
+    assert out == ""
+    assert f"lacks {key}" in capsys.readouterr().err
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -326,6 +348,14 @@ def test_compare_matches_oracle_on_generated(tmp_path):
     idx = header.index("matches_oracle")
     rows = [l.split("\t") for l in lines[1:] if not l.startswith("#")]
     assert rows and all(r[idx] == "True" for r in rows)
+
+
+@pytest.mark.parametrize("alphas", ["1.5", "0,x"])
+def test_compare_bad_alpha_rejected(alphas, capsys):
+    code, out = run_cli("compare", FIG1, "--seeds", "1", "--alphas", alphas)
+    assert code == 4
+    assert out == ""
+    assert "--alphas" in capsys.readouterr().err
 
 
 def test_compare_rows_ordered():

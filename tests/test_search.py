@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dagclust import (
@@ -7,12 +9,13 @@ from dagclust import (
     check_contiguity,
     parse_dag_text,
     search,
+    seven_node_example,
     stream_search,
 )
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import ClusterSearch, ConfigError, enumerate_combos, partition_signature
 
-from conftest import name_mapping
+from conftest import name_mapping, random_test_dag
 
 
 # -- configuration -----------------------------------------------------------
@@ -21,6 +24,11 @@ from conftest import name_mapping
 def test_alpha_range_checked():
     with pytest.raises(ConfigError):
         SearchConfig(alpha=1.5)
+    with pytest.raises(ConfigError, match="max_iterations"):
+        SearchConfig(max_iterations=-1)
+    with pytest.raises(ConfigError, match="stall_window"):
+        SearchConfig(stall_window=-1)
+    SearchConfig(max_iterations=0, stall_window=0)
 
 
 def test_leaf_init_validation(fig1, fig1_layers, fig1_model):
@@ -189,7 +197,7 @@ def test_merged_leaf_init(fig1, fig1_layers, fig1_model):
 def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
-    eligible = cs._eligible()
+    eligible = [e for _, _, e in cs._ready]
     assert {(e.cluster, e.layer) for e in eligible} == {(1, 0), (2, 0)}
     assert all(e.ghat == pytest.approx(85.8, abs=1e-9) for e in eligible)
 
@@ -197,9 +205,8 @@ def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
 def test_first_pop_proposes_parent_clusters(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
-    entry = min(cs._eligible(), key=lambda e: (e.ghat, e.seq))
+    entry = cs._take_ready()
     assert entry.cluster == 1  # the F proposal was pushed first
-    cs.pending[entry.branch].remove(entry)
     cs._process_pop(cs.branches[entry.branch], entry)
     added = {(e.cluster, e.layer): e for e in cs.pending[1] if e.layer == 2}
     assert set(added) == {(1, 2), (5, 2)}
@@ -225,10 +232,10 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     clone = br.clone(99, creation_layer=1)
     cs.branches[99] = clone
     cs._push(type(cs.pending[1][0])(99, 3, 0, 50.0, 999))
-    assert all(e.branch != 99 for e in cs._eligible())
-    assert any(e.branch == 99 for e in cs._inactive_entries())
-    clone.active = True
-    assert any(e.branch == 99 for e in cs._eligible())
+    assert all(e.branch != 99 for _, _, e in cs._ready)
+    assert any(bid == 99 for _, _, bid in cs._waiting_ghat)
+    cs._activate(clone)
+    assert any(e.branch == 99 for _, _, e in cs._ready)
 
 
 def test_prune_dominated_twin_branches(fig1, fig1_layers, fig1_model):
@@ -249,7 +256,8 @@ def test_prune_dominated_twin_branches(fig1, fig1_layers, fig1_model):
     for bid in (1, 2, 3):
         cs.branch_links[bid] = [key]
     cs._prune_at_pop(a, 1)
-    assert cs.branches[1].alive and not cs.branches[2].alive and cs.branches[3].alive
+    assert a.alive and not b.alive and c.alive
+    assert set(cs.branches) == {1, 3} and cs.links[key] == {1, 3}
 
 
 def test_prune_against_incumbent(fig1, fig1_layers, fig1_model):
@@ -307,3 +315,82 @@ def test_heuristic_never_below_remaining_optimum(fig1, fig1_layers, fig1_model):
     best, _ = optimal_set(fig1, fig1_layers, fig1_model)
     h0 = fig1_model.heuristic(fig1.node_ids(), [])
     assert h0 >= best - 1e-9
+
+
+# -- the selection index against a full scan -------------------------------------------
+
+
+def _scan_ready(cs):
+    """The eligible entry with the lowest (ghat, seq), found by scanning
+    every pending entry of every live active branch."""
+    eligible = []
+    for bid, entries in cs.pending.items():
+        br = cs.branches[bid]
+        if br.alive and br.active:
+            eligible.extend(e for e in entries if e.layer <= br.progress)
+    return min(eligible, key=lambda e: (e.ghat, e.seq), default=None)
+
+
+def _scan_waiting(cs):
+    """The branch an activation picks, found by scanning every pending entry
+    of every live inactive branch; the RNG draw is read from a copy."""
+    waiting = []
+    for bid, entries in cs.pending.items():
+        br = cs.branches[bid]
+        if br.alive and not br.active:
+            waiting.extend(entries)
+    if not waiting:
+        return None
+    draw = random.Random()
+    draw.setstate(cs.rng.getstate())
+    if draw.random() < cs.config.alpha:
+        pick = min(waiting, key=lambda e: (e.ghat, e.seq))
+    else:
+        pick = min(waiting, key=lambda e: (e.layer, e.seq))
+    return cs.branches[pick.branch]
+
+
+class _Differential(ClusterSearch):
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.pops = self.activations = 0
+
+    def _take_ready(self):
+        expect = _scan_ready(self)
+        got = super()._take_ready()
+        assert got is expect, (self.iteration, got, expect)
+        self.pops += got is not None
+        return got
+
+    def _next_waiting(self):
+        expect = _scan_waiting(self)
+        got = super()._next_waiting()
+        assert got is expect, (self.iteration, got, expect)
+        self.activations += got is not None
+        return got
+
+
+def _differential_graphs():
+    return [seven_node_example()] + [random_test_dag(1000 + gi, n=3 + gi % 8) for gi in range(10)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_index_picks_what_a_full_scan_picks(alpha):
+    """Every pop and activation of a run is the one the brute-force scan over
+    all pending entries would choose, and at termination no index holds a
+    valid top and no dead branch is kept."""
+    pops = activations = 0
+    for dag in _differential_graphs():
+        layers = assign_layers(dag)
+        cs = _Differential(dag, layers, BnComputationCost(dag, layers), SearchConfig(alpha=alpha, seed=0))
+        res = cs.run()
+        assert not res.report.terminated_early
+        pops += cs.pops
+        activations += cs.activations
+        assert ClusterSearch._take_ready(cs) is None
+        assert cs._waiting_top(cs._waiting_ghat) is None
+        assert cs._waiting_top(cs._waiting_layer) is None
+        # Killed branches are gone; finished ones stay only while linked.
+        assert all(b.alive and (not b.emitted or cs.branch_links.get(b.id)) for b in cs.branches.values())
+        assert all(j in cs.branches for linked in cs.links.values() for j in linked)
+    assert pops > 0 and activations > 0
