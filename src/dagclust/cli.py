@@ -410,6 +410,9 @@ def cmd_compare(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}", EXIT_CONFIG)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
         configs = [
@@ -484,11 +487,13 @@ def cmd_replay(args, out) -> int:
     if manifest.get("command") != "search":
         raise CliError("only search manifests can be replayed", EXIT_CONFIG)
     cfg = manifest.get("config", {})
-    missing = [key for key in ("alpha", "seed") if key not in cfg]
+    missing = [
+        key for key, held in (("input", manifest), ("alpha", cfg), ("seed", cfg)) if key not in held
+    ]
     if missing:
-        raise CliError(f"manifest config lacks {', '.join(missing)}", EXIT_CONFIG)
+        raise CliError(f"manifest lacks {', '.join(missing)}", EXIT_CONFIG)
     # A key set that the flags below cannot carry (such as the removed
-    # root-split filter, or leaf_init) would make the replay a different search.
+    # root-split filter or leaf_init) would make the replay a different search.
     known = {"alpha", "seed", "max_iterations", "stall_window", "prune_enabled", "weights"}
     unknown = sorted(key for key, val in cfg.items() if key not in known and val)
     if unknown:

@@ -215,7 +215,6 @@ def ghat(g_so_far: float, transition: float, heuristic_remaining: float) -> Ghat
 @dataclass
 class MappingCost:
     total: float
-    per_layer: dict[int, float]
     transitions: list[tuple[int, int, frozenset[int], float]]  # (cluster, layer, z, cost)
 
 
@@ -230,7 +229,6 @@ def evaluate_mapping(
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     entries: list[JEntry] = []
-    per_layer: dict[int, float] = {}
     transitions = []
     total = 0.0
     for l in range(layers.l_max + 1):
@@ -242,6 +240,5 @@ def evaluate_mapping(
             t = model.transition(mapping, entries, k, l, z)
             entries.append(JEntry(k, l, z, t.dims))
             total += t.cost
-            per_layer[l] = per_layer.get(l, 0.0) + t.cost
             transitions.append((k, l, z, t.cost))
-    return MappingCost(total=total, per_layer=per_layer, transitions=transitions)
+    return MappingCost(total=total, transitions=transitions)

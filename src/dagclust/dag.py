@@ -185,6 +185,15 @@ def founding_labels(dag: Dag, layers: LayerAssignment) -> dict[int, int]:
     return {x: r + 1 for r, x in enumerate(order)}
 
 
+def proposal_clusters(dag: Dag, labels: dict[int, int], u: dict[int, int], x: int) -> list[int]:
+    """The clusters node x may take under the partial mapping ``u``: those of
+    its assigned children, ascending, then its founding label, the largest
+    since every child's cluster opened at a lower layer.  So a leaf opens its
+    own cluster.  The search pushes proposals in this order, so the solution
+    streams depend on it."""
+    return sorted({u[c] for c in dag.children(x) if c in u}) + [labels[x]]
+
+
 @dataclass(frozen=True)
 class NodeClassification:
     """Per cluster: link nodes (a child in another cluster) and internal nodes."""

@@ -38,8 +38,6 @@ class OpCostWeights:
 
 DEFAULT_WEIGHTS = OpCostWeights()
 
-Dims = frozenset  # of node ids
-
 
 def table_size(dims: Iterable[int], states: Mapping[int, int]) -> int:
     """Number of cells in a table over ``dims``; the empty set is a scalar."""

@@ -20,6 +20,7 @@ from .dag import (
     check_contiguity,
     founding_labels,
     keeps_contiguity,
+    proposal_clusters,
     search_space_size,
 )
 from .costs import TOL, CostModel, evaluate_mapping
@@ -58,11 +59,7 @@ def iter_feasible(
             yield dict(u)
             return
         x = order[idx]
-        if layers.of(x) == 0:
-            options = [labels[x]]
-        else:
-            options = sorted({u[c] for c in dag.children(x)} | {labels[x]})
-        for k in options:
+        for k in proposal_clusters(dag, labels, u, x):
             if k != labels[x] and not keeps_contiguity(dag, u, (x,), k):
                 continue
             u[x] = k

@@ -24,6 +24,7 @@ from .dag import (
     check_contiguity,
     founding_labels,
     keeps_contiguity,
+    proposal_clusters,
 )
 from .costs import TOL, CostModel, JEntry
 
@@ -39,7 +40,6 @@ class SearchConfig:
     max_iterations: int | None = None
     stall_window: int | None = None
     prune_enabled: bool = True
-    leaf_init: dict[int, int] | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -125,14 +125,6 @@ class _Branch:
         )
 
 
-def _subsets_desc(items: list[int]) -> list[frozenset[int]]:
-    out = []
-    for r in range(len(items), -1, -1):
-        for combo in itertools.combinations(sorted(items), r):
-            out.append(frozenset(combo))
-    return out
-
-
 def enumerate_combos(
     assignable: set[int], pinned: set[int]
 ) -> list[frozenset[int]]:
@@ -144,7 +136,11 @@ def enumerate_combos(
     the popped branch keeps the fullest combination.
     """
     free = sorted(assignable - pinned)
-    return [frozenset(pinned) | s for s in _subsets_desc(free)]
+    return [
+        frozenset(pinned).union(combo)
+        for r in range(len(free), -1, -1)
+        for combo in itertools.combinations(free, r)
+    ]
 
 
 class ClusterSearch:
@@ -181,21 +177,6 @@ class ClusterSearch:
 
     # -- setup ----------------------------------------------------------------
 
-    def _leaf_labels(self) -> dict[int, int]:
-        leaves = sorted(self.dag.leaves)
-        if self.config.leaf_init is None:
-            return {x: self.labels[x] for x in leaves}
-        init = dict(self.config.leaf_init)
-        if sorted(init) != leaves:
-            raise ConfigError("leaf_init must assign exactly the leaf nodes")
-        reserved = {self.labels[x] for x in self.dag.node_ids() if x not in leaves}
-        for k in init.values():
-            if k <= 0:
-                raise ConfigError("leaf clusters must be positive integers")
-            if k in reserved:
-                raise ConfigError(f"leaf cluster {k} collides with a reserved label")
-        return init
-
     def _init(self) -> None:
         h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
@@ -210,13 +191,8 @@ class ClusterSearch:
             active=True,
         )
         self.branches[b.id] = b
-        leaf_labels = self._leaf_labels()
-        self.own_label = {**self.labels, **leaf_labels}
-        pushed = set()
-        for x, k in sorted(leaf_labels.items()):
-            if k not in pushed:
-                pushed.add(k)
-                self._push(_QueueEntry(b.id, k, 0, h_all, next(self._seq)))
+        for x in self.dag.leaves:
+            self._push(_QueueEntry(b.id, self.labels[x], 0, h_all, next(self._seq)))
 
     # -- queue index ------------------------------------------------------------
     #
@@ -365,9 +341,8 @@ class ClusterSearch:
             (e.cluster, e.layer) for e in self.pending.get(br.id, ())
         }
         for p in parents:
-            existing = sorted({br.u[c] for c in self.dag.children(p) if br.u.get(c)})
             l = self.layers.of(p)
-            for k in existing + [self.labels[p]]:
+            for k in proposal_clusters(self.dag, self.labels, br.u, p):
                 if (k, l) not in present:
                     present.add((k, l))
                     self._push(_QueueEntry(br.id, k, l, ghat_val, next(self._seq)))
@@ -440,15 +415,14 @@ class ClusterSearch:
         dag, layers, cfg = self.dag, self.layers, self.config
         k, l = entry.cluster, entry.layer
         # A proposal with unassigned layer-l nodes pops only at l == progress,
-        # so their children are all assigned and each node's proposals are
-        # its own label and its children's clusters.
+        # so their children are all assigned and their proposals are final.
         proposals = {
-            x: {self.own_label[x]} | {br.u[c] for c in dag.children(x)}
+            x: proposal_clusters(dag, self.labels, br.u, x)
             for x in layers.members.get(l, ())
             if not br.u.get(x)
         }
         z_all = {x for x, ks in proposals.items() if k in ks}
-        z1 = {x for x in z_all if proposals[x] == {k}}
+        z1 = {x for x in z_all if proposals[x] == [k]}
         combos = enumerate_combos(z_all, z1)
         # All descendants of a combo are assigned already, so the walk sees
         # every path that could leave cluster k and come back.
@@ -542,6 +516,10 @@ def search(
     return ClusterSearch(dag, layers, model, config).run(on_solution=on_solution)
 
 
+class _StreamClosed(Exception):
+    """Raised inside a stream's worker once its consumer has gone away."""
+
+
 def stream_search(
     dag: Dag,
     layers: LayerAssignment,
@@ -553,17 +531,26 @@ def stream_search(
     The channel decouples producer and consumer, so a consumer may process
     records concurrently with the ongoing search.  An exception raised by
     the search is re-raised in the consumer once the records before it have
-    been yielded.
+    been yielded.  Closing the generator early stops the search at its next
+    solution.
     """
     import queue as _queue
     import threading
 
     chan: _queue.Queue = _queue.Queue()
     failure: list[BaseException] = []
+    closed = threading.Event()
+
+    def emit(rec: SolutionRecord) -> None:
+        if closed.is_set():
+            raise _StreamClosed
+        chan.put(rec)
 
     def worker():
         try:
-            search(dag, layers, model, config, on_solution=chan.put)
+            search(dag, layers, model, config, on_solution=emit)
+        except _StreamClosed:
+            pass
         except BaseException as exc:
             failure.append(exc)
         finally:
@@ -571,11 +558,14 @@ def stream_search(
 
     t = threading.Thread(target=worker, daemon=True)
     t.start()
-    while True:
-        item = chan.get()
-        if item is None:
-            break
-        yield item
+    try:
+        while True:
+            item = chan.get()
+            if item is None:
+                break
+            yield item
+    finally:
+        closed.set()
     t.join()
     if failure:
         raise failure[0]

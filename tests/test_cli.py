@@ -207,12 +207,12 @@ def test_replay_rejects_root_split_manifest(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["alpha", "seed"])
+@pytest.mark.parametrize("key", ["alpha", "seed", "input"])
 def test_replay_rejects_manifest_without_key(tmp_path, capsys, key):
     man = tmp_path / "run.json"
     assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
     manifest = json.loads(man.read_text())
-    del manifest["config"][key]
+    del (manifest if key == "input" else manifest["config"])[key]
     man.write_text(json.dumps(manifest))
     capsys.readouterr()
     code, out = run_cli("replay", str(man))
@@ -358,6 +358,14 @@ def test_compare_bad_alpha_rejected(alphas, capsys):
     assert "--alphas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"), ("--jobs", "0")])
+def test_compare_bad_count_rejected(flag, value, capsys):
+    code, out = run_cli("compare", FIG1, flag, value)
+    assert code == 4
+    assert out == ""
+    assert flag in capsys.readouterr().err
+
+
 def test_compare_rows_ordered():
     code, out = run_cli("compare", FIG1, "--seeds", "2", "--alphas", "0.5,0", "--jobs", "2")
     assert code == 0
@@ -435,7 +443,6 @@ def test_option_census():
         "max_iterations",
         "stall_window",
         "prune_enabled",
-        "leaf_init",
     ]
 
 

@@ -14,7 +14,8 @@ from dagclust import (
     parse_dag_text,
     search_space_size,
 )
-from dagclust.dag import founding_labels, format_dag_text
+from dagclust.dag import founding_labels, format_dag_text, proposal_clusters
+from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import iter_feasible
 
 from conftest import name_mapping
@@ -201,6 +202,28 @@ def test_contiguity_check_accepts_exactly_the_feasible_set():
         assert set(feasible) == accepted
         rejected += len(raw) - len(accepted)
     assert rejected > 0  # the corpus exercises the rejecting branch
+
+
+def test_proposal_order_ascending_founding_label_last(fig1):
+    """On every partial mapping the oracle builds, a non-leaf node's
+    proposals ascend strictly and end with its founding label.  The search
+    pushes proposals in this order, so the stream digests depend on it."""
+    graphs = [fig1] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(10)
+    ]
+    for dag in graphs:
+        layers = assign_layers(dag)
+        labels = founding_labels(dag, layers)
+        order = sorted(dag.node_ids(), key=lambda x: (layers.of(x), x))
+        for u in iter_feasible(dag, layers):
+            for i, x in enumerate(order):
+                if layers.of(x) == 0:
+                    continue
+                ks = proposal_clusters(dag, labels, {y: u[y] for y in order[:i]}, x)
+                assert all(a < b for a, b in zip(ks, ks[1:]))
+                assert ks[-1] == labels[x]
+                assert u[x] in ks
 
 
 # -- search-space size -------------------------------------------------------------

@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from dagclust import (
     seven_node_example,
     stream_search,
 )
+from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import ClusterSearch, ConfigError, enumerate_combos, partition_signature
 
@@ -29,20 +32,6 @@ def test_alpha_range_checked():
     with pytest.raises(ConfigError, match="stall_window"):
         SearchConfig(stall_window=-1)
     SearchConfig(max_iterations=0, stall_window=0)
-
-
-def test_leaf_init_validation(fig1, fig1_layers, fig1_model):
-    with pytest.raises(ConfigError, match="exactly the leaf nodes"):
-        ClusterSearch(
-            fig1, fig1_layers, fig1_model, SearchConfig(leaf_init={1: 1})
-        )._leaf_labels()
-    with pytest.raises(ConfigError, match="reserved"):
-        ClusterSearch(
-            fig1,
-            fig1_layers,
-            fig1_model,
-            SearchConfig(leaf_init={fig1.id_of("F"): 5, fig1.id_of("G"): 2}),
-        )._leaf_labels()
 
 
 # -- combination generation -----------------------------------------------------
@@ -151,6 +140,37 @@ def test_stream_reraises_model_failure(fig1, fig1_layers, fig1_model):
         list(stream_search(fig1, fig1_layers, Failing(), SearchConfig(seed=4)))
 
 
+def test_closed_stream_stops_its_worker():
+    """Closing the generator ends the worker at its next solution, so a slow
+    search does not run on unseen to its iteration cap."""
+    dag = generate_dag(GeneratorSpec(n=30, seed=0))
+    layers = assign_layers(dag)
+    plain = BnComputationCost(dag, layers)
+
+    class Slow:
+        weights = plain.weights
+        transitions = 0
+
+        def transition(self, *args):
+            Slow.transitions += 1
+            time.sleep(0.001)
+            return plain.transition(*args)
+
+        def heuristic(self, *args):
+            return plain.heuristic(*args)
+
+    before = set(threading.enumerate())
+    stream = stream_search(dag, layers, Slow(), SearchConfig.enumeration(max_iterations=10_000))
+    next(stream)
+    (worker,) = set(threading.enumerate()) - before
+    stream.close()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    done = Slow.transitions
+    time.sleep(0.05)
+    assert Slow.transitions == done
+
+
 def test_stall_window_terminates_early(fig1, fig1_layers, fig1_model):
     full = search(fig1, fig1_layers, fig1_model, SearchConfig(seed=0))
     stalled = search(
@@ -163,32 +183,6 @@ def test_stall_window_terminates_early(fig1, fig1_layers, fig1_model):
 def test_max_iterations_flagged(fig1, fig1_layers, fig1_model):
     res = search(fig1, fig1_layers, fig1_model, SearchConfig(seed=0, max_iterations=5))
     assert res.report.terminated_early
-
-
-def test_explicit_leaf_init(fig1, fig1_layers, fig1_model):
-    cfg = SearchConfig(leaf_init={fig1.id_of("F"): 1, fig1.id_of("G"): 2})
-    res = search(fig1, fig1_layers, fig1_model, cfg)
-    assert res.report.optimal_cost == pytest.approx(54.0, abs=1e-9)
-    assert res.report.optimal_solution_count == 3
-
-
-def test_relabelled_leaf_init(fig1, fig1_layers, fig1_model):
-    """Leaves propose the labels leaf_init gives them, not their founding
-    labels; the optima are the same partitions."""
-    cfg = SearchConfig(leaf_init={fig1.id_of("F"): 8, fig1.id_of("G"): 9})
-    res = search(fig1, fig1_layers, fig1_model, cfg)
-    assert res.report.optimal_cost == pytest.approx(54.0, abs=1e-9)
-    assert res.report.optimal_solution_count == 3
-    assert {s.mapping[fig1.id_of("F")] for s in res.solutions} == {8}
-
-
-def test_merged_leaf_init(fig1, fig1_layers, fig1_model):
-    cfg = SearchConfig(leaf_init={fig1.id_of("F"): 1, fig1.id_of("G"): 1})
-    res = search(fig1, fig1_layers, fig1_model, cfg)
-    assert len(res.solutions) == 2
-    assert res.report.optimal_cost == pytest.approx(100.8, abs=1e-9)
-    for s in res.solutions:
-        assert s.mapping[fig1.id_of("F")] == s.mapping[fig1.id_of("G")] == 1
 
 
 # -- white-box: queue, proposals, pruning ---------------------------------------------
