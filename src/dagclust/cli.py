@@ -6,9 +6,11 @@ multi-run convergence comparison.  Every run is deterministic given the
 input file, the flags, and the seed; a JSON manifest echoing that triple is
 emitted alongside the results so any run can be replayed bit-for-bit.
 
-Exit codes: 0 success, 2 input validation (also a replayed input whose
-digest differs from its manifest's), 3 enumeration cap, 4 config (also a
-replayed manifest that turns on an option this version lacks).
+Exit codes: 0 success, 2 input validation (also a file that cannot be read
+or written, a manifest that is not a JSON object, or a replayed input whose
+digest differs from its manifest's), 3 enumeration cap, 4 config (also an
+empty --alphas, a manifest whose config or weights is not a JSON object, or
+a replayed manifest that turns on an option this version lacks).
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ def _manifest(command: str, input_path: str, config: dict, manifest_path: str | 
     }
 
 
-def _write_manifest(manifest: dict, path: str | None) -> None:
-    if path:
+def _write(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_VALIDATION) from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,8 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
             {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))},
             args.manifest,
         )
-        _write_manifest(manifest, args.manifest)
+        if args.manifest:
+            _write(args.manifest, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     result = search(dag, layers, model, config)
     # The incumbent at each row: the best total emitted so far.
@@ -393,8 +397,7 @@ def cmd_gen(args, out) -> int:
         raise CliError(str(exc), EXIT_CONFIG) from None
     text = format_dag_text(dag)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         out.write(text)
     ins, outs = degree_histogram(dag)
@@ -415,6 +418,8 @@ def cmd_compare(args, out) -> int:
             raise CliError(f"{flag} must be at least 1, got {value}", EXIT_CONFIG)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+        if not alphas:
+            raise CliError("--alphas: no alpha given", EXIT_CONFIG)
         configs = [
             SearchConfig(alpha=alpha, seed=seed, stall_window=args.stall)
             for seed in range(args.seeds)
@@ -484,14 +489,21 @@ def cmd_replay(args, out) -> int:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest: {exc}", EXIT_VALIDATION) from None
+    if not isinstance(manifest, dict):
+        raise CliError("cannot read manifest: not a JSON object", EXIT_VALIDATION)
     if manifest.get("command") != "search":
         raise CliError("only search manifests can be replayed", EXIT_CONFIG)
     cfg = manifest.get("config", {})
+    weights = cfg.get("weights", {}) if isinstance(cfg, dict) else None
+    if not isinstance(weights, dict):
+        raise CliError("manifest config and its weights must be JSON objects", EXIT_CONFIG)
     missing = [
         key for key, held in (("input", manifest), ("alpha", cfg), ("seed", cfg)) if key not in held
     ]
     if missing:
         raise CliError(f"manifest lacks {', '.join(missing)}", EXIT_CONFIG)
+    if not isinstance(manifest["input"], str):
+        raise CliError("manifest input must be a path string", EXIT_CONFIG)
     # A key set that the flags below cannot carry (such as the removed
     # root-split filter or leaf_init) would make the replay a different search.
     known = {"alpha", "seed", "max_iterations", "stall_window", "prune_enabled", "weights"}
@@ -507,7 +519,6 @@ def cmd_replay(args, out) -> int:
             f"{input_path} does not match the manifest's input_sha256",
             EXIT_VALIDATION,
         )
-    weights = cfg.get("weights", {})
     argv = [
         "search",
         input_path,

@@ -4,10 +4,9 @@ Partial solutions live on branches.  A queue of cluster-layer proposals
 drives the search: popping a proposal enumerates every node combination it
 can still realize, stores each combination on its own branch, costs it, and
 proposes the parents upward.  Completed layers advance a branch's frontier,
-link branches whose forward-relevant state coincides so dominated ones can
-be pruned, and whenever a branch completes the last layer it emits a
-solution.  The best total seen so far also prunes any partial already
-costing more, since transition costs are strictly positive.
+and whenever a branch completes the last layer it emits a solution.  The
+best total seen so far prunes any partial already costing more, since
+transition costs are strictly positive.
 """
 
 from __future__ import annotations
@@ -103,15 +102,12 @@ class _Branch:
     progress: int  # lowest incomplete layer
     active: bool
     alive: bool = True
-    emitted: bool = False
     # While inactive: the lowest ghat and layer among the pending entries.
     min_ghat: float = float("inf")
     min_layer: float = float("inf")
 
-    def cum_g(self, through: int | None = None) -> float:
-        if through is None:
-            return sum(self.g.values())
-        return sum(v for l, v in self.g.items() if l <= through)
+    def cum_g(self) -> float:
+        return sum(self.g.values())
 
     def clone(self, new_id: int, creation_layer: int) -> "_Branch":
         return _Branch(
@@ -160,14 +156,12 @@ class ClusterSearch:
         self.labels = founding_labels(dag, layers)
         self.rng = random.Random(self.config.seed)
         self.pending: dict[int, list[_QueueEntry]] = {}
-        # Live branches, plus finished ones that still dominate through links.
+        # Live branches; a killed or finished one leaves at once.
         self.branches: dict[int, _Branch] = {}
         self.branches_created = 0
         self._ready: list[tuple[float, int, _QueueEntry]] = []
         self._waiting_ghat: list[tuple[float, int, int]] = []
         self._waiting_layer: list[tuple[int, int, int]] = []
-        self.links: dict[tuple[int, tuple], set[int]] = {}
-        self.branch_links: dict[int, list[tuple[int, tuple]]] = {}
         self.gmin = float("inf")
         self.iteration = 0
         self.branches_complete = 0
@@ -199,7 +193,7 @@ class ClusterSearch:
     # ``_ready`` holds the entries of active branches at or below their
     # progress, keyed (ghat, seq).  The two waiting heaps index inactive
     # branches by their lowest (ghat, seq) and (layer, seq).  Deletion is
-    # lazy: an item whose branch was dropped, emitted or (waiting heaps only)
+    # lazy: an item whose branch was dropped or (waiting heaps only)
     # activated is discarded when it reaches the top.
 
     def _push(self, entry: _QueueEntry) -> None:
@@ -236,8 +230,7 @@ class ClusterSearch:
         """Remove and return the eligible entry with the lowest (ghat, seq)."""
         while self._ready:
             entry = heapq.heappop(self._ready)[2]
-            br = self.branches.get(entry.branch)
-            if br is not None and not br.emitted:
+            if entry.branch in self.branches:
                 self.pending[entry.branch].remove(entry)
                 return entry
         return None
@@ -256,7 +249,7 @@ class ClusterSearch:
     def _waiting_top(self, heap: list) -> _Branch | None:
         while heap:
             br = self.branches.get(heap[0][2])
-            if br is not None and not br.emitted and not br.active:
+            if br is not None and not br.active:
                 return br
             heapq.heappop(heap)
         return None
@@ -269,63 +262,12 @@ class ClusterSearch:
         """Forget a branch that will never pop again; its heap items lapse."""
         del self.branches[branch_id]
         self.pending.pop(branch_id, None)
-        for key in self.branch_links.pop(branch_id, ()):
-            linked = self.links[key]
-            linked.discard(branch_id)
-            if not linked:
-                del self.links[key]
 
-    # -- linking / pruning --------------------------------------------------------
+    # -- pruning ------------------------------------------------------------------
 
-    def _frontier_sig(self, br: _Branch) -> tuple:
-        """Everything that determines a branch's future costs and options:
-        live dependency records, assignments of nodes that still have
-        unassigned parents, and the full member sets of clusters those nodes
-        belong to (future contiguity checks probe cluster membership)."""
-        live = tuple(
-            sorted(
-                (e.layer, e.cluster, tuple(sorted(e.members)), tuple(sorted(e.dims)))
-                for i, e in enumerate(br.entries)
-                if i not in br.absorbed
-            )
-        )
-        open_nodes = {
-            x
-            for x in br.u
-            if any(not br.u.get(p) for p in self.dag.parents(x))
-        }
-        open_u = tuple(sorted((x, br.u[x]) for x in open_nodes))
-        members: dict[int, list[int]] = {}
-        for x, k in br.u.items():
-            members.setdefault(k, []).append(x)
-        growable = tuple(
-            sorted(
-                (k, tuple(sorted(ms)))
-                for k, ms in members.items()
-                if any(m in open_nodes for m in ms)
-            )
-        )
-        return (live, open_u, growable)
-
-    def _link_on_completion(self, br: _Branch, layer: int) -> None:
-        key = (layer + 1, self._frontier_sig(br))
-        self.links.setdefault(key, set()).add(br.id)
-        self.branch_links.setdefault(br.id, []).append(key)
-
-    def _prune_at_pop(self, br: _Branch, layer: int) -> None:
-        """Kill dominated rivals sharing this branch's completed frontier,
-        and this branch itself if it already exceeds the incumbent."""
-        rivals: set[int] = set()
-        for key in self.branch_links.get(br.id, []):
-            if key[0] == layer:
-                rivals |= self.links[key]
-        rivals.add(br.id)
-        if len(rivals) > 1:
-            best = min(self.branches[j].cum_g(layer - 1) for j in rivals)
-            for j in sorted(rivals):
-                if self.branches[j].cum_g(layer - 1) > best + TOL:
-                    self._kill(j)
-        if br.alive and br.cum_g() > self.gmin + TOL:
+    def _prune_at_pop(self, br: _Branch) -> None:
+        """Kill the branch if it already exceeds the incumbent."""
+        if br.cum_g() > self.gmin + TOL:
             self._kill(br.id)
 
     # -- proposals -----------------------------------------------------------------
@@ -382,7 +324,7 @@ class ClusterSearch:
             self.iteration += 1
             br = self.branches[entry.branch]
             if cfg.prune_enabled:
-                self._prune_at_pop(br, entry.layer)
+                self._prune_at_pop(br)
                 if not br.alive:
                     continue
             for rec in self._process_pop(br, entry):
@@ -412,7 +354,7 @@ class ClusterSearch:
         return SearchResult(solutions=solutions, report=report)
 
     def _process_pop(self, br: _Branch, entry: _QueueEntry) -> list[SolutionRecord]:
-        dag, layers, cfg = self.dag, self.layers, self.config
+        dag, layers = self.dag, self.layers
         k, l = entry.cluster, entry.layer
         # A proposal with unassigned layer-l nodes pops only at l == progress,
         # so their children are all assigned and their proposals are final.
@@ -457,18 +399,11 @@ class ClusterSearch:
             if layer_done:
                 self._advance(holder)
                 if l == layers.l_max:
-                    rec = self._emit(holder)
-                    if rec is not None:
-                        emissions.append(rec)
-                elif cfg.prune_enabled:
-                    self._link_on_completion(holder, l)
+                    emissions.append(self._emit(holder))
             self._propose_parents(holder, combo)
         return emissions
 
-    def _emit(self, br: _Branch) -> SolutionRecord | None:
-        if br.emitted:
-            return None
-        br.emitted = True
+    def _emit(self, br: _Branch) -> SolutionRecord:
         self.branches_complete += 1
         mapping = dict(br.u)
         total = br.cum_g()
@@ -479,13 +414,8 @@ class ClusterSearch:
         if total < self.gmin - TOL:
             self.gmin = total
             self._last_improvement = self.iteration
-        # A finished branch has nothing left to pop.  If linked, it still
-        # dominates rivals that reach its frontier later, so it stays until a
-        # rival kills it.
-        if self.branch_links.get(br.id):
-            self.pending.pop(br.id, None)
-        else:
-            self._drop(br.id)
+        # A finished branch has nothing left to pop.
+        self._drop(br.id)
         return SolutionRecord(
             mapping=mapping,
             total_cost=total,

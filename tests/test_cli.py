@@ -128,6 +128,21 @@ def test_search_reference_unreadable(tmp_path, capsys):
     assert f"cannot read {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--n", "5", "--out"), ("search", FIG1, "--manifest")],
+    ids=["gen-out", "search-manifest"],
+)
+def test_unwritable_output_rejected(tmp_path, capsys, argv):
+    """Nothing is printed: the DAG summary follows the write, and the
+    manifest is written before the search runs."""
+    target = tmp_path / "missing" / "out"
+    code, out = run_cli(*argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
 def test_search_reference_similarity(tmp_path):
     ref = tmp_path / "ref.txt"
     ref.write_text("A=2,B=6,C=7,D=2,E=3,F=1,G=2\n")
@@ -219,6 +234,27 @@ def test_replay_rejects_manifest_without_key(tmp_path, capsys, key):
     assert code == 4
     assert out == ""
     assert f"lacks {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit,code,message",
+    [
+        (lambda m: [1, 2], 2, "cannot read manifest"),
+        (lambda m: {**m, "config": {**m["config"], "weights": [0.6, 1.0, 3.0]}}, 4, "must be JSON objects"),
+        (lambda m: {**m, "config": "alpha seed"}, 4, "must be JSON objects"),
+        (lambda m: {**m, "input": 5}, 4, "input must be a path string"),
+    ],
+    ids=["not-an-object", "weights-list", "config-string", "input-number"],
+)
+def test_replay_rejects_malformed_manifest(tmp_path, capsys, edit, code, message):
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    man.write_text(json.dumps(edit(json.loads(man.read_text()))))
+    capsys.readouterr()
+    got, out = run_cli("replay", str(man))
+    assert got == code
+    assert out == ""
+    assert message in capsys.readouterr().err
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -350,7 +386,7 @@ def test_compare_matches_oracle_on_generated(tmp_path):
     assert rows and all(r[idx] == "True" for r in rows)
 
 
-@pytest.mark.parametrize("alphas", ["1.5", "0,x"])
+@pytest.mark.parametrize("alphas", ["1.5", "0,x", "", ","])
 def test_compare_bad_alpha_rejected(alphas, capsys):
     code, out = run_cli("compare", FIG1, "--seeds", "1", "--alphas", alphas)
     assert code == 4

@@ -232,9 +232,9 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     assert any(e.branch == 99 for _, _, e in cs._ready)
 
 
-def test_prune_dominated_twin_branches(fig1, fig1_layers, fig1_model):
-    """Among linked branches the dearer cumulative prefix dies; ties and the
-    incumbent bound are both honoured."""
+def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
+    """Against an incumbent of 35.2 the dearer twin dies when it pops, while
+    both branches that tie the incumbent survive theirs."""
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     a = cs.branches[1]
@@ -245,13 +245,11 @@ def test_prune_dominated_twin_branches(fig1, fig1_layers, fig1_model):
     a.g = {0: 35.2}
     b.g = {0: 36.0}
     c.g = {0: 35.2}
-    key = (1, ("sig",))
-    cs.links[key] = {1, 2, 3}
-    for bid in (1, 2, 3):
-        cs.branch_links[bid] = [key]
-    cs._prune_at_pop(a, 1)
+    cs.gmin = 35.2
+    for br in (a, b, c):
+        cs._prune_at_pop(br)
     assert a.alive and not b.alive and c.alive
-    assert set(cs.branches) == {1, 3} and cs.links[key] == {1, 3}
+    assert set(cs.branches) == {1, 3}
 
 
 def test_prune_against_incumbent(fig1, fig1_layers, fig1_model):
@@ -259,16 +257,16 @@ def test_prune_against_incumbent(fig1, fig1_layers, fig1_model):
     cs._init()
     br = cs.branches[1]
     br.g = {0: 90.0}  # already above the naive incumbent 85.8
-    cs._prune_at_pop(br, 1)
+    cs._prune_at_pop(br)
     assert not br.alive
 
 
-def test_unlinked_branch_not_pruned(fig1, fig1_layers, fig1_model):
+def test_branch_below_incumbent_not_pruned(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
     br.g = {0: 10.0}
-    cs._prune_at_pop(br, 1)
+    cs._prune_at_pop(br)
     assert br.alive
 
 
@@ -372,7 +370,7 @@ def _differential_graphs():
 def test_index_picks_what_a_full_scan_picks(alpha):
     """Every pop and activation of a run is the one the brute-force scan over
     all pending entries would choose, and at termination no index holds a
-    valid top and no dead branch is kept."""
+    valid top and no dead or finished branch is kept."""
     pops = activations = 0
     for dag in _differential_graphs():
         layers = assign_layers(dag)
@@ -384,7 +382,6 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert ClusterSearch._take_ready(cs) is None
         assert cs._waiting_top(cs._waiting_ghat) is None
         assert cs._waiting_top(cs._waiting_layer) is None
-        # Killed branches are gone; finished ones stay only while linked.
-        assert all(b.alive and (not b.emitted or cs.branch_links.get(b.id)) for b in cs.branches.values())
-        assert all(j in cs.branches for linked in cs.links.values() for j in linked)
+        # Killed and finished branches leave at once.
+        assert all(b.alive and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
