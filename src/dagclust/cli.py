@@ -9,8 +9,9 @@ emitted alongside the results so any run can be replayed bit-for-bit.
 Exit codes: 0 success, 2 input validation (also a file that cannot be read
 or written, a manifest that is not a JSON object, or a replayed input whose
 digest differs from its manifest's), 3 enumeration cap, 4 config (also an
-empty --alphas, a manifest whose config or weights is not a JSON object, or
-a replayed manifest that turns on an option this version lacks).
+empty --alphas, a count or cap below 1, an infer-cost flag that the chosen
+strategy does not use, a manifest whose config or weights is not a JSON
+object, or a replayed manifest that turns on an option this version lacks).
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count or a cap: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return value
 
 
 def _fmt(value: float, weights: OpCostWeights, precise: bool) -> str:
@@ -308,6 +320,13 @@ def cmd_oracle(args, out) -> int:
 
 
 def cmd_infer_cost(args, out) -> int:
+    ignored = [
+        flag
+        for flag, strategy in (("--target", "be"), ("--order", "be"), ("--mapping", "clusters"))
+        if getattr(args, flag[2:]) is not None and args.strategy != strategy
+    ]
+    if ignored:
+        raise CliError(f"--strategy {args.strategy} does not use {', '.join(ignored)}", EXIT_CONFIG)
     dag = _load(args.file)
     layers = assign_layers(dag)
     weights = _weights(args)
@@ -413,9 +432,6 @@ def cmd_compare(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
-    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1, got {value}", EXIT_CONFIG)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
         if not alphas:
@@ -582,7 +598,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exact optimal mappings by brute force")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--all", action="store_true", help="dump every feasible mapping, not just the optima")
     p.add_argument("--precise", action="store_true", help="full float precision")
     _add_common(p)
@@ -612,11 +628,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="convergence across seeds and alphas")
     p.add_argument("file")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--alphas", default="0,0.5,1")
     p.add_argument("--stall", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 

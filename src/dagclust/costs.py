@@ -46,7 +46,6 @@ class JEntry(NamedTuple):
 class Transition(NamedTuple):
     cost: float
     dims: frozenset[int]
-    gathered: tuple[int, ...]  # indexes into the entry list that were absorbed
 
 
 class CostModel(Protocol):
@@ -57,6 +56,10 @@ class CostModel(Protocol):
     affects search order.  The heuristic must however upper-bound the true
     completion cost whenever it seeds the incumbent bound, so implementations
     should anchor it to a concrete feasible completion.
+
+    ``transition`` returns the cost and the dimensions of the new record.
+    The search passes ``heuristic`` every record none of whose members has
+    a costed parent yet.
     """
 
     weights: OpCostWeights
@@ -110,13 +113,12 @@ class BnComputationCost:
         for z in zset:
             scope |= dag.parents(z)
         kids = frozenset().union(*(dag.children(z) for z in zset))
-        order = sorted(
-            range(len(entries)),
-            key=lambda i: (entries[i].layer, entries[i].cluster),
+        held = sorted(
+            (e for e in entries if not kids.isdisjoint(e.members)),
+            key=lambda e: (e.layer, e.cluster),
         )
-        gathered = [i for i in order if not kids.isdisjoint(entries[i].members)]
         dims, cost = fold(
-            [(entries[i].dims, entries[i].layer, entries[i].cluster) for i in gathered],
+            [(e.dims, e.layer, e.cluster) for e in held],
             scope,
             [dag.scope(z) for z in sorted(zset)],
             states,
@@ -126,7 +128,7 @@ class BnComputationCost:
             z for z in zset if all(u.get(c) == cluster for c in dag.children(z))
         )
         dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
-        return Transition(cost=cost, dims=dims, gathered=tuple(gathered))
+        return Transition(cost=cost, dims=dims)
 
     # -- heuristic ----------------------------------------------------------
 

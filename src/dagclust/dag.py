@@ -140,33 +140,21 @@ class LayerAssignment:
 
 
 def assign_layers(dag: Dag) -> LayerAssignment:
-    """Breadth-first max-update sweep from the leaves.
-
-    Repeatedly steps to the parent set, raising each node's layer to the
-    sweep depth, so a node ends at the length of its longest path down to a
-    leaf.  A DAG needs at most n sweeps; exceeding that means a cycle.
-    """
-    frontier = set(dag.leaves)
-    if not frontier and dag.n > 0:
-        raise ValidationError("graph contains a directed cycle (no leaves)")
-    layer = {i: 0 for i in frontier}
-    depth = 0
-    sweeps = 0
-    while True:
-        parents = set()
-        for x in frontier:
-            parents |= dag.parents(x)
-        if not parents:
-            break
-        sweeps += 1
-        if sweeps > dag.n:
-            raise ValidationError("layer sweep did not terminate; cycle suspected")
-        depth += 1
-        for p in parents:
-            layer[p] = max(layer.get(p, 0), depth)
-        frontier = parents
-    if len(layer) != dag.n:
-        raise ValidationError("some nodes have no path to a leaf; cycle suspected")
+    """One pass from the leaves up: a node's layer is one more than the
+    largest layer among its children, and 0 for a leaf.  A node is taken
+    once its last child has raised it, so each node is taken once."""
+    layer = dict.fromkeys(dag.node_ids(), 0)
+    kids_left = {x: len(dag.children(x)) for x in dag.node_ids()}
+    todo = list(dag.leaves)
+    while todo:
+        x = todo.pop()
+        up = layer[x] + 1
+        for p in dag.parents(x):
+            if layer[p] < up:
+                layer[p] = up
+            kids_left[p] -= 1
+            if not kids_left[p]:
+                todo.append(p)
     l_max = max(layer.values(), default=0)
     members = {
         l: tuple(sorted(i for i in dag.node_ids() if layer[i] == l))

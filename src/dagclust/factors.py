@@ -271,13 +271,10 @@ def bucket_elimination_schedule(
         return min(live, key=position.get)
 
     buckets: dict[int, list[frozenset[int]]] = {x: [] for x in order}
-    leftovers: list[frozenset[int]] = []
     for x in sorted(dag.node_ids()):
         scope = dag.scope(x)
         b = bucket_of(scope)
-        if b is None:
-            leftovers.append(scope)
-        else:
+        if b is not None:
             buckets[b].append(scope)
 
     schedule: Schedule = []
@@ -302,8 +299,6 @@ def bucket_elimination_schedule(
         b = bucket_of(dims)
         if b is not None:
             buckets[b].append(dims)
-        else:
-            leftovers.append(dims)
     # Remaining factors form the target marginal; assembling it is not charged.
     return schedule
 

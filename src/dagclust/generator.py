@@ -32,6 +32,8 @@ class GeneratorSpec:
             raise ValueError("need at least one node")
         if not (0.0 <= self.rewire <= 1.0):
             raise ValueError("rewire must lie in [0, 1]")
+        if self.max_in < 1 or self.max_out < 1:
+            raise ValueError("max_in and max_out must be at least 1")
         if self.states[0] < 1 or self.states[1] < self.states[0]:
             raise ValueError("bad state-count range")
 
@@ -85,6 +87,7 @@ def generate_dag(spec: GeneratorSpec) -> Dag:
             extras += 1
 
     # Stitch together weak components, highest-level donor into lowest target.
+    # These arcs ignore max_in and max_out.
     def components() -> list[set[int]]:
         seenc: set[int] = set()
         comps = []

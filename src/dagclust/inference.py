@@ -150,7 +150,7 @@ def cluster_inference_schedule(
         put("backward", k, l, f"upward partial for cluster {k} layer {l}", t.cost)
 
     # ---- absorption into root clusters -------------------------------------
-    absorbed: dict[int, frozenset[int]] = {}
+    root_dims: dict[int, frozenset[int]] = {}
     for k in sorted(clusters):
         if not root_cluster[k]:
             continue
@@ -163,12 +163,12 @@ def cluster_inference_schedule(
             }
         )
         if not ext:
-            absorbed[k] = joint[k]
+            root_dims[k] = joint[k]
             continue
         # The joint lies within the cluster, so cutting it charges nothing.
         parts = [(bwd[cl], cl[1], cl[0]) for cl in ext]
         parts.append((joint[k], layers.of(min(clusters[k])), k))
-        absorbed[k], cost = fold(parts, frozenset(clusters[k]), (), states, weights)
+        root_dims[k], cost = fold(parts, frozenset(clusters[k]), (), states, weights)
         put("absorb", k, cl_layers[k][-1], f"fold upward results into cluster {k}", cost)
 
     # ---- posteriors ---------------------------------------------------------
@@ -177,7 +177,7 @@ def cluster_inference_schedule(
         l = layers.of(x)
         cost = 0.0
         if root_cluster[k]:
-            dims = absorbed[k]
+            dims = root_dims[k]
         else:
             dims = fwd[(k, l)]
             child_sources = sorted(

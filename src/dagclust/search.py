@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .dag import (
@@ -97,11 +97,12 @@ class _Branch:
     id: int
     u: dict[int, int]
     entries: list[JEntry]
-    absorbed: set[int]
     g: dict[int, float]  # per-layer cost increments
     progress: int  # lowest incomplete layer
     active: bool
     alive: bool = True
+    # Queued proposals by (cluster, layer), in push order.
+    pending: dict[tuple[int, int], _QueueEntry] = field(default_factory=dict)
     # While inactive: the lowest ghat and layer among the pending entries.
     min_ghat: float = float("inf")
     min_layer: float = float("inf")
@@ -114,7 +115,6 @@ class _Branch:
             id=new_id,
             u=dict(self.u),
             entries=list(self.entries),
-            absorbed=set(self.absorbed),
             g=dict(self.g),
             progress=self.progress,
             active=creation_layer == 0,
@@ -155,7 +155,6 @@ class ClusterSearch:
         self.config = config or SearchConfig()
         self.labels = founding_labels(dag, layers)
         self.rng = random.Random(self.config.seed)
-        self.pending: dict[int, list[_QueueEntry]] = {}
         # Live branches; a killed or finished one leaves at once.
         self.branches: dict[int, _Branch] = {}
         self.branches_created = 0
@@ -164,9 +163,9 @@ class ClusterSearch:
         self._waiting_layer: list[tuple[int, int, int]] = []
         self.gmin = float("inf")
         self.iteration = 0
-        self.branches_complete = 0
-        self.emitted_mappings: dict[tuple, int] = {}
+        self.emitted_mappings: set[tuple] = set()
         self._seq = itertools.count()
+        self._keys: dict[tuple[int, int], tuple[int, int]] = {}
         self._last_improvement = 0
 
     # -- setup ----------------------------------------------------------------
@@ -175,15 +174,7 @@ class ClusterSearch:
         h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
         self.branches_created = 1
-        b = _Branch(
-            id=1,
-            u={},
-            entries=[],
-            absorbed=set(),
-            g={},
-            progress=0,
-            active=True,
-        )
+        b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
         self.branches[b.id] = b
         for x in self.dag.leaves:
             self._push(_QueueEntry(b.id, self.labels[x], 0, h_all, next(self._seq)))
@@ -197,8 +188,11 @@ class ClusterSearch:
     # activated is discarded when it reaches the top.
 
     def _push(self, entry: _QueueEntry) -> None:
-        self.pending.setdefault(entry.branch, []).append(entry)
         br = self.branches[entry.branch]
+        # One key tuple per cluster-layer, shared by every branch: clones
+        # queue most proposals, and a fresh tuple each adds 56 bytes.
+        key = (entry.cluster, entry.layer)
+        br.pending[self._keys.setdefault(key, key)] = entry
         if br.active:
             if entry.layer <= br.progress:
                 heapq.heappush(self._ready, (entry.ghat, entry.seq, entry))
@@ -214,7 +208,7 @@ class ClusterSearch:
 
     def _activate(self, br: _Branch) -> None:
         br.active = True
-        for e in self.pending.get(br.id, ()):
+        for e in br.pending.values():
             if e.layer <= br.progress:
                 heapq.heappush(self._ready, (e.ghat, e.seq, e))
 
@@ -222,7 +216,7 @@ class ClusterSearch:
         """Mark the branch's lowest incomplete layer complete."""
         br.progress += 1
         if br.active:
-            for e in self.pending.get(br.id, ()):
+            for e in br.pending.values():
                 if e.layer == br.progress:
                     heapq.heappush(self._ready, (e.ghat, e.seq, e))
 
@@ -230,8 +224,9 @@ class ClusterSearch:
         """Remove and return the eligible entry with the lowest (ghat, seq)."""
         while self._ready:
             entry = heapq.heappop(self._ready)[2]
-            if entry.branch in self.branches:
-                self.pending[entry.branch].remove(entry)
+            br = self.branches.get(entry.branch)
+            if br is not None:
+                del br.pending[entry.cluster, entry.layer]
                 return entry
         return None
 
@@ -254,21 +249,13 @@ class ClusterSearch:
             heapq.heappop(heap)
         return None
 
-    def _kill(self, branch_id: int) -> None:
-        self.branches[branch_id].alive = False
-        self._drop(branch_id)
-
-    def _drop(self, branch_id: int) -> None:
-        """Forget a branch that will never pop again; its heap items lapse."""
-        del self.branches[branch_id]
-        self.pending.pop(branch_id, None)
-
     # -- pruning ------------------------------------------------------------------
 
     def _prune_at_pop(self, br: _Branch) -> None:
-        """Kill the branch if it already exceeds the incumbent."""
+        """Kill the branch if it already exceeds the incumbent; its heap
+        items lapse."""
         if br.cum_g() > self.gmin + TOL:
-            self._kill(br.id)
+            self.branches.pop(br.id).alive = False
 
     # -- proposals -----------------------------------------------------------------
 
@@ -279,21 +266,23 @@ class ClusterSearch:
         ghat_val = br.cum_g() + self.model.heuristic(
             self._unassigned(br), self._live_entries(br), br.u
         )
-        present = {
-            (e.cluster, e.layer) for e in self.pending.get(br.id, ())
-        }
         for p in parents:
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
-                if (k, l) not in present:
-                    present.add((k, l))
+                if (k, l) not in br.pending:
                     self._push(_QueueEntry(br.id, k, l, ghat_val, next(self._seq)))
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self.dag.node_ids() if not br.u.get(x)]
 
     def _live_entries(self, br: _Branch) -> list[JEntry]:
-        return [e for i, e in enumerate(br.entries) if i not in br.absorbed]
+        """The records no transition has folded in yet: those none of whose
+        members has an assigned parent.  A parent is costed only once all its
+        children are, so its transition folds in every record holding one."""
+        parents = self.dag.parents
+        return [
+            e for e in br.entries if not any(br.u.get(p) for x in e.members for p in parents(x))
+        ]
 
     # -- main loop -------------------------------------------------------------------
 
@@ -346,7 +335,7 @@ class ClusterSearch:
             iterations_total=self.iteration,
             iteration_of_first_optimal=first_optimal,
             branches_created=self.branches_created,
-            branches_complete=self.branches_complete,
+            branches_complete=len(solutions),
             solutions_emitted=len(solutions),
             gmin=gmin_final,
             terminated_early=terminated_early,
@@ -373,12 +362,11 @@ class ClusterSearch:
             return []
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
-        duplicable = list(self.pending.get(br.id, ()))
         for combo in combos[1:]:
             self.branches_created += 1
             nb = br.clone(self.branches_created, l)
             self.branches[nb.id] = nb
-            for e in duplicable:
+            for e in br.pending.values():
                 self._push(
                     _QueueEntry(nb.id, e.cluster, e.layer, e.ghat, next(self._seq))
                 )
@@ -390,7 +378,6 @@ class ClusterSearch:
                 continue
             t = self.model.transition(holder.u, holder.entries, k, l, combo)
             assert t.cost > TOL, "transition cost must be strictly positive"
-            holder.absorbed.update(t.gathered)
             holder.entries.append(JEntry(k, l, combo, t.dims))
             for x in combo:
                 holder.u[x] = k
@@ -404,18 +391,17 @@ class ClusterSearch:
         return emissions
 
     def _emit(self, br: _Branch) -> SolutionRecord:
-        self.branches_complete += 1
         mapping = dict(br.u)
         total = br.cum_g()
         key = tuple(sorted(mapping.items()))
         assert key not in self.emitted_mappings, "duplicate mapping across branches"
-        self.emitted_mappings[key] = br.id
+        self.emitted_mappings.add(key)
         assert check_contiguity(self.dag, mapping)
         if total < self.gmin - TOL:
             self.gmin = total
             self._last_improvement = self.iteration
         # A finished branch has nothing left to pop.
-        self._drop(br.id)
+        del self.branches[br.id]
         return SolutionRecord(
             mapping=mapping,
             total_cost=total,

@@ -275,6 +275,14 @@ def test_oracle_cap_refusal():
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "ten"])
+def test_oracle_bad_cap_rejected(cap, capsys):
+    code, out = run_cli("oracle", FIG1, "--cap", cap)
+    assert code == 4
+    assert out == ""
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_oracle_all_chain(tmp_path):
     p = tmp_path / "chain.dag"
     p.write_text("node A\nnode B\nnode C\nedge A B\nedge B C\n")
@@ -315,6 +323,24 @@ def test_infer_cost_jointree_wrong_graph(tmp_path):
 def test_infer_cost_clusters_needs_mapping():
     code, _ = run_cli("infer-cost", FIG1, "--strategy", "clusters")
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--strategy", "jointree-fixture", "--target", "F"), "--target"),
+        (("--strategy", "jointree-fixture", "--order", "G,E,D,C,B,A"), "--order"),
+        (("--strategy", "jointree-fixture", "--mapping", "A=1"), "--mapping"),
+        (("--strategy", "be", "--mapping", "A=1"), "--mapping"),
+        (("--mapping", "A=1"), "--mapping"),
+        (("--strategy", "clusters", "--mapping", "A=1,F=1,D=2,G=2,E=3,B=6,C=7", "--target", "F"), "--target"),
+    ],
+)
+def test_infer_cost_unused_flag_rejected(argv, flag, capsys):
+    code, out = run_cli("infer-cost", FIG1, *argv)
+    assert code == 4
+    assert out == ""
+    assert flag in capsys.readouterr().err
 
 
 def test_infer_cost_be_custom_order():
@@ -361,6 +387,16 @@ def test_gen_bad_args():
     assert code == 4
 
 
+@pytest.mark.parametrize("flag,value", [("--max-in", "0"), ("--max-out", "0"), ("--max-in", "-2")])
+def test_gen_degree_cap_below_one_rejected(flag, value, capsys):
+    code, out = run_cli("gen", "--n", "5", flag, value)
+    assert code == 4
+    assert out == ""
+    assert "max_in and max_out" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="at least 1"):
+        GeneratorSpec(n=5, **{flag[2:].replace("-", "_"): int(value)})
+
+
 # -- compare ---------------------------------------------------------------------------
 
 
@@ -394,7 +430,18 @@ def test_compare_bad_alpha_rejected(alphas, capsys):
     assert "--alphas" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"), ("--jobs", "0")])
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--seeds", "0"),
+        ("--seeds", "-1"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+        ("--seeds", "two"),
+        ("--cap", "0"),
+        ("--cap", "-1"),
+    ],
+)
 def test_compare_bad_count_rejected(flag, value, capsys):
     code, out = run_cli("compare", FIG1, flag, value)
     assert code == 4

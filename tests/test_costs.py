@@ -18,7 +18,6 @@ def test_first_pop_transition(fig1, fig1_layers, fig1_model):
     t = fig1_model.transition({}, [], 1, 0, frozenset({fig1.id_of("F")}))
     assert t.cost == pytest.approx(5.2, abs=1e-9)
     assert t.dims == frozenset({fig1.id_of("A")})
-    assert t.gathered == ()
 
 
 def test_transition_requires_nodes(fig1_model):
@@ -65,7 +64,6 @@ def test_transition_gathers_and_restricts(fig1, fig1_layers, fig1_model):
     t = fig1_model.transition({**u, idD: 2}, entries, 2, 1, frozenset({idD}))
     assert t.cost == pytest.approx(13.6, abs=1e-9)
     assert t.dims == frozenset({fig1.id_of("A"), fig1.id_of("B")})
-    assert t.gathered == (1,)
     t2 = fig1_model.transition({**u, idE: 3}, entries, 3, 1, frozenset({idE}))
     assert t2.cost == pytest.approx(7.2, abs=1e-9)
     assert t2.dims == frozenset({fig1.id_of("C"), idE})

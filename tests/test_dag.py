@@ -101,6 +101,26 @@ def test_layers_match_longest_path_oracle(seed):
         assert layers.of(x) == _longest_path_to_leaf(dag, x)
 
 
+def _relaxed_layers(dag):
+    """Longest path to a leaf by relaxing every arc n times."""
+    depth = dict.fromkeys(dag.node_ids(), 0)
+    for _ in range(dag.n):
+        for p, c in dag.arcs:
+            depth[p] = max(depth[p], depth[c] + 1)
+    return depth
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 118])
+def test_layers_match_relaxed_longest_path_on_generated(n):
+    for seed in range(4):
+        for levels in (0, n):
+            dag = generate_dag(GeneratorSpec(n=n, layers=levels, extra_arc_rate=0.8, seed=seed))
+            layers = assign_layers(dag)
+            assert layers.layer == _relaxed_layers(dag)
+            assert layers.l_max == max(layers.layer.values())
+            assert sorted(x for m in layers.members.values() for x in m) == list(dag.node_ids())
+
+
 def test_layers_strictly_decrease_along_arcs(fig1, fig1_layers):
     for p, c in fig1.arcs:
         assert fig1_layers.of(p) > fig1_layers.of(c)

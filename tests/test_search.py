@@ -16,7 +16,13 @@ from dagclust import (
 )
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
-from dagclust.search import ClusterSearch, ConfigError, enumerate_combos, partition_signature
+from dagclust.search import (
+    ClusterSearch,
+    ConfigError,
+    _QueueEntry,
+    enumerate_combos,
+    partition_signature,
+)
 
 from conftest import name_mapping, random_test_dag
 
@@ -202,7 +208,7 @@ def test_first_pop_proposes_parent_clusters(fig1, fig1_layers, fig1_model):
     entry = cs._take_ready()
     assert entry.cluster == 1  # the F proposal was pushed first
     cs._process_pop(cs.branches[entry.branch], entry)
-    added = {(e.cluster, e.layer): e for e in cs.pending[1] if e.layer == 2}
+    added = {key: e for key, e in cs.branches[1].pending.items() if e.layer == 2}
     assert set(added) == {(1, 2), (5, 2)}
     for e in added.values():
         assert e.ghat == pytest.approx(87.8, abs=1e-9)
@@ -214,9 +220,9 @@ def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
     cs._init()
     br = cs.branches[1]
     br.u.update(u)
-    before = len(cs.pending.get(1, []))
+    before = len(br.pending)
     cs._propose_parents(br, frozenset({fig1.id_of("B")}))
-    assert len(cs.pending.get(1, [])) == before
+    assert len(br.pending) == before
 
 
 def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
@@ -225,7 +231,7 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     br = cs.branches[1]
     clone = br.clone(99, creation_layer=1)
     cs.branches[99] = clone
-    cs._push(type(cs.pending[1][0])(99, 3, 0, 50.0, 999))
+    cs._push(_QueueEntry(99, 3, 0, 50.0, 999))
     assert all(e.branch != 99 for _, _, e in cs._ready)
     assert any(bid == 99 for _, _, bid in cs._waiting_ghat)
     cs._activate(clone)
@@ -303,6 +309,57 @@ def test_run_invariants(fig1, fig1_layers, fig1_model, alpha, seed):
     assert res.report.iterations_total > 0
 
 
+class _GatherLog:
+    """Cost model wrapper that records, for each transition, the indexes of
+    the records it gathers: those holding a child of the costed nodes."""
+
+    def __init__(self, dag, inner):
+        self.dag = dag
+        self.inner = inner
+        self.weights = inner.weights
+        self.heuristic = inner.heuristic
+        self.gathers = {}
+
+    def transition(self, u, entries, cluster, layer, zset):
+        kids = frozenset().union(*(self.dag.children(z) for z in zset))
+        self.gathers[tuple(entries), zset] = {
+            i for i, e in enumerate(entries) if not kids.isdisjoint(e.members)
+        }
+        return self.inner.transition(u, entries, cluster, layer, zset)
+
+
+class _LiveAudit(ClusterSearch):
+    """Checks at every proposal that the live records read off the mapping
+    are the records no transition on the branch's history has gathered."""
+
+    checks = 0
+
+    def _propose_parents(self, br, popped):
+        gathered = set()
+        for j, e in enumerate(br.entries):
+            gathered |= self.model.gathers[tuple(br.entries[:j]), e.members]
+        expect = [e for i, e in enumerate(br.entries) if i not in gathered]
+        assert self._live_entries(br) == expect
+        self.checks += 1
+        super()._propose_parents(br, popped)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_live_entries_are_the_ungathered_records(alpha):
+    graphs = [seven_node_example()] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(100)
+    ]
+    checks = 0
+    for dag in graphs:
+        layers = assign_layers(dag)
+        model = _GatherLog(dag, BnComputationCost(dag, layers))
+        cs = _LiveAudit(dag, layers, model, SearchConfig(alpha=alpha, seed=0))
+        assert cs.run().solutions
+        checks += cs.checks
+    assert checks > 0
+
+
 def test_heuristic_never_below_remaining_optimum(fig1, fig1_layers, fig1_model):
     best, _ = optimal_set(fig1, fig1_layers, fig1_model)
     h0 = fig1_model.heuristic(fig1.node_ids(), [])
@@ -316,10 +373,9 @@ def _scan_ready(cs):
     """The eligible entry with the lowest (ghat, seq), found by scanning
     every pending entry of every live active branch."""
     eligible = []
-    for bid, entries in cs.pending.items():
-        br = cs.branches[bid]
+    for br in cs.branches.values():
         if br.alive and br.active:
-            eligible.extend(e for e in entries if e.layer <= br.progress)
+            eligible.extend(e for e in br.pending.values() if e.layer <= br.progress)
     return min(eligible, key=lambda e: (e.ghat, e.seq), default=None)
 
 
@@ -327,10 +383,9 @@ def _scan_waiting(cs):
     """The branch an activation picks, found by scanning every pending entry
     of every live inactive branch; the RNG draw is read from a copy."""
     waiting = []
-    for bid, entries in cs.pending.items():
-        br = cs.branches[bid]
+    for br in cs.branches.values():
         if br.alive and not br.active:
-            waiting.extend(entries)
+            waiting.extend(br.pending.values())
     if not waiting:
         return None
     draw = random.Random()
