@@ -14,6 +14,7 @@ is what makes neighbouring clusters' costs interdependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, founding_labels
@@ -22,12 +23,12 @@ from .factors import (
     OpCostWeights,
     fold,
     marginalize_away,
-    marginalize_cost,
-    multiply_cost,
     table_size,
 )
 
 TOL = 1e-9
+# One shared empty set, so memo keys that sum nothing out do not each hold one.
+_EMPTY: frozenset[int] = frozenset()
 
 
 class JEntry(NamedTuple):
@@ -59,7 +60,8 @@ class CostModel(Protocol):
 
     ``transition`` returns the cost and the dimensions of the new record.
     The search passes ``heuristic`` every record none of whose members has
-    a costed parent yet.
+    a costed parent yet, and, last, a dict that lives for one search run:
+    the model may keep memoised work there, never on itself.
     """
 
     weights: OpCostWeights
@@ -78,6 +80,7 @@ class CostModel(Protocol):
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
+        memo: dict | None = None,
     ) -> float: ...
 
 
@@ -88,7 +91,28 @@ class BnComputationCost:
         self.dag = dag
         self.layers = layers
         self.weights = weights
-        self._labels = founding_labels(dag, layers)
+
+    # The estimate's node tables are built at its first call: a model that
+    # only prices transitions, as one inference call does, never needs them.
+
+    @cached_property
+    def _labels(self) -> dict[int, int]:
+        """Rank in (layer, node id) order, the singleton completion's."""
+        return founding_labels(self.dag, self.layers)
+
+    @cached_property
+    def _scopes(self) -> dict[int, frozenset[int]]:
+        return {x: self.dag.scope(x) for x in self.dag.node_ids()}
+
+    @cached_property
+    def _sweep_rank(self) -> dict[int, int]:
+        """Rank in (layer, table size, node id) order, the sweep's."""
+        states = self.dag.states
+        order = sorted(
+            self.dag.node_ids(),
+            key=lambda x: (self.layers.of(x), table_size(self._scopes[x], states), x),
+        )
+        return {x: r for r, x in enumerate(order)}
 
     # -- transition ---------------------------------------------------------
 
@@ -102,31 +126,44 @@ class BnComputationCost:
     ) -> Transition:
         if not zset:
             raise ValidationError("cluster-layer node set is empty")
-        dag, states, w = self.dag, self.dag.states, self.weights
-        for z in zset:
-            for c in dag.children(z):
-                if not u.get(c):
-                    raise ValidationError(
-                        f"child {dag.name(c)} of {dag.name(z)} not yet assigned"
-                    )
-        scope = frozenset(zset)
-        for z in zset:
-            scope |= dag.parents(z)
-        kids = frozenset().union(*(dag.children(z) for z in zset))
+        summed = self._summed(u, zset, cluster)
+        kids = frozenset().union(*(self.dag.children(z) for z in zset))
         held = sorted(
             (e for e in entries if not kids.isdisjoint(e.members)),
             key=lambda e: (e.layer, e.cluster),
         )
-        dims, cost = fold(
-            [(e.dims, e.layer, e.cluster) for e in held],
-            scope,
-            [dag.scope(z) for z in sorted(zset)],
-            states,
-            w,
-        )
-        summed = frozenset(
-            z for z in zset if all(u.get(c) == cluster for c in dag.children(z))
-        )
+        return self._step(zset, tuple((e.dims, e.layer, e.cluster) for e in held), summed)
+
+    def _summed(self, u: dict[int, int], zset: frozenset[int], cluster: int) -> frozenset[int]:
+        """The members of Z with no child outside the cluster.  Refuses a Z
+        with a child not yet assigned."""
+        dag = self.dag
+        out = []
+        for z in zset:
+            inside = True
+            for c in dag.children(z):
+                k = u.get(c)
+                if not k:
+                    raise ValidationError(
+                        f"child {dag.name(c)} of {dag.name(z)} not yet assigned"
+                    )
+                inside = inside and k == cluster
+            if inside:
+                out.append(z)
+        return frozenset(out) if out else _EMPTY
+
+    def _step(
+        self,
+        zset: frozenset[int],
+        parts: tuple[tuple[frozenset[int], int, int], ...],
+        summed: frozenset[int],
+    ) -> Transition:
+        """Cost one cluster-layer from its gathered inputs: fold the ordered
+        ``(dims, layer, cluster)`` parts with Z's own tables, then sum out
+        ``summed``.  Pure, so equal inputs give equal results."""
+        dag, states, w = self.dag, self.dag.states, self.weights
+        scope = zset.union(*(dag.parents(z) for z in zset))
+        dims, cost = fold(parts, scope, [dag.scope(z) for z in sorted(zset)], states, w)
         dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
         return Transition(cost=cost, dims=dims)
 
@@ -137,6 +174,7 @@ class BnComputationCost:
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
+        memo: dict | None = None,
     ) -> float:
         """Upper-bound completion estimate for the unassigned nodes.
 
@@ -148,41 +186,64 @@ class BnComputationCost:
         completion, which makes the estimate a true upper bound; the sweep
         usually dominates on narrow graphs and keeps the classic naive
         figure.
+
+        ``memo`` keeps the completion's steps, keyed on their gathered
+        inputs, across the calls of one search; without it each call
+        starts from an empty one.
         """
         remaining = list(remaining)
         return max(
             self._sweep_estimate(remaining, live),
-            self._singleton_completion(remaining, live, u or {}),
+            self._singleton_completion(remaining, live, u or {}, {} if memo is None else memo),
         )
 
     def _sweep_estimate(self, remaining: list[int], live: Sequence[JEntry]) -> float:
-        dag, states, w = self.dag, self.dag.states, self.weights
+        scopes, states, w = self._scopes, self.dag.states, self.weights
         acc, cost = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
-        todo = sorted(
-            remaining,
-            key=lambda x: (
-                self.layers.of(x),
-                table_size(dag.scope(x), states),
-                x,
-            ),
-        )
-        for x in todo:
-            acc, c = multiply_cost(acc, dag.scope(x), states, w)
-            cost += c
-            acc, c = marginalize_cost(acc, x, states, w)
-            cost += c
+        size = table_size(acc, states)
+        acc = set(acc)
+        # Multiply each node's table (the node and its parents) in and sum
+        # the node out, carrying the accumulator's table size as an integer.
+        for x in sorted(remaining, key=self._sweep_rank.__getitem__):
+            for d in scopes[x]:
+                if d not in acc:
+                    acc.add(d)
+                    size *= states[d]
+            cost += size * w.mul
+            acc.remove(x)
+            size //= states[x]
+            cost += (states[x] - 1) * size * w.add
         return cost
 
     def _singleton_completion(
-        self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int]
+        self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int], memo: dict
     ) -> float:
-        entries = list(live)
+        """Cost each remaining node as its own cluster-layer, lowest layer
+        first, as ``transition`` would."""
+        dag, labels = self.dag, self._labels
+        # The records holding each node, as (layer, cluster, position, part):
+        # sorting a gather by that is transition's stable (layer, cluster) sort.
+        holding: dict[int, list] = {}
+        for pos, e in enumerate(live):
+            rec = (e.layer, e.cluster, pos, (e.dims, e.layer, e.cluster))
+            for x in e.members:
+                holding.setdefault(x, []).append(rec)
+        pos = len(live)
         u2 = dict(u)
         cost = 0.0
-        for z in sorted(remaining, key=lambda x: (self.layers.of(x), x)):
-            k = self._labels[z]
-            t = self.transition(u2, entries, k, self.layers.of(z), frozenset({z}))
-            entries.append(JEntry(k, self.layers.of(z), frozenset({z}), t.dims))
+        for z in sorted(remaining, key=labels.__getitem__):
+            k, l, zset = labels[z], self.layers.of(z), frozenset((z,))
+            summed = self._summed(u2, zset, k)
+            held = sorted({r for c in dag.children(z) for r in holding.get(c, ())})
+            parts = tuple(r[3] for r in held)
+            key = (z, parts, summed)
+            t = memo.get(key)
+            if t is None:
+                t = self._step(zset, parts, summed)
+                # Steps of one node mostly leave equal dims: keep one copy.
+                t = memo[key] = t._replace(dims=memo.setdefault(t.dims, t.dims))
+            holding.setdefault(z, []).append((l, k, pos, (t.dims, l, k)))
+            pos += 1
             u2[z] = k
             cost += t.cost
         return cost

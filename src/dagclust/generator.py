@@ -30,10 +30,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one node")
+        if self.layers < 0:
+            raise ValueError("layers must not be negative")
         if not (0.0 <= self.rewire <= 1.0):
             raise ValueError("rewire must lie in [0, 1]")
         if self.max_in < 1 or self.max_out < 1:
             raise ValueError("max_in and max_out must be at least 1")
+        if not self.extra_arc_rate >= 0.0:
+            raise ValueError("extra_arc_rate must not be negative")
         if self.states[0] < 1 or self.states[1] < self.states[0]:
             raise ValueError("bad state-count range")
 

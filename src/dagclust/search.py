@@ -167,11 +167,14 @@ class ClusterSearch:
         self._seq = itertools.count()
         self._keys: dict[tuple[int, int], tuple[int, int]] = {}
         self._last_improvement = 0
+        # The model's memo for completion estimates; lives for one run.
+        self._estimates: dict | None = None
 
     # -- setup ----------------------------------------------------------------
 
     def _init(self) -> None:
-        h_all = self.model.heuristic(self.dag.node_ids(), [])
+        self._estimates = {}
+        h_all = self.model.heuristic(self.dag.node_ids(), [], None, self._estimates)
         self.gmin = h_all
         self.branches_created = 1
         b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
@@ -264,7 +267,7 @@ class ClusterSearch:
         if not parents:
             return
         ghat_val = br.cum_g() + self.model.heuristic(
-            self._unassigned(br), self._live_entries(br), br.u
+            self._unassigned(br), self._live_entries(br), br.u, self._estimates
         )
         for p in parents:
             l = self.layers.of(p)
@@ -320,6 +323,7 @@ class ClusterSearch:
                 solutions.append(rec)
                 if on_solution is not None:
                     on_solution(rec)
+        self._estimates = None
         gmin_final = min((r.total_cost for r in solutions), default=float("inf"))
         first_optimal = None
         optimal_partitions = set()

@@ -397,6 +397,19 @@ def test_gen_degree_cap_below_one_rejected(flag, value, capsys):
         GeneratorSpec(n=5, **{flag[2:].replace("-", "_"): int(value)})
 
 
+@pytest.mark.parametrize(
+    "flag,field,value",
+    [("--layers", "layers", -1), ("--extra-arcs", "extra_arc_rate", -1.0), ("--extra-arcs", "extra_arc_rate", -0.5)],
+)
+def test_gen_negative_shape_rejected(flag, field, value, capsys):
+    code, out = run_cli("gen", "--n", "5", flag, str(value))
+    assert code == 4
+    assert out == ""
+    assert f"{field} must not be negative" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="must not be negative"):
+        GeneratorSpec(n=5, **{field: value})
+
+
 # -- compare ---------------------------------------------------------------------------
 
 

@@ -3,13 +3,27 @@ import pytest
 from dagclust import (
     BnComputationCost,
     JEntry,
+    SearchConfig,
     ValidationError,
     assign_layers,
     evaluate_mapping,
     ghat,
     parse_dag_text,
+    seven_node_example,
 )
-from dagclust.factors import Marginalize, Multiply, eval_schedule
+from dagclust.dag import founding_labels
+from dagclust.factors import (
+    Marginalize,
+    Multiply,
+    eval_schedule,
+    fold,
+    marginalize_away,
+    marginalize_cost,
+    multiply_cost,
+    table_size,
+)
+from dagclust.generator import GeneratorSpec, generate_dag
+from dagclust.search import ClusterSearch
 
 from conftest import name_mapping
 
@@ -112,6 +126,115 @@ def test_heuristic_upper_bounds_singleton_completion(fig1, fig1_layers, fig1_mod
     u = {i: i for i in fig1.node_ids()}
     singleton = evaluate_mapping(fig1, fig1_layers, fig1_model, u).total
     assert fig1_model.heuristic(fig1.node_ids(), []) >= singleton - 1e-9
+
+
+# -- the memoised estimate against a plain one ----------------------------------------
+
+
+def _plain_transition(model, u, entries, cluster, layer, zset):
+    """A transition that scans every record: (cost, dims)."""
+    dag, states, w = model.dag, model.dag.states, model.weights
+    for z in zset:
+        for c in dag.children(z):
+            if not u.get(c):
+                raise ValidationError(f"child {dag.name(c)} of {dag.name(z)} not yet assigned")
+    scope = frozenset(zset)
+    for z in zset:
+        scope |= dag.parents(z)
+    kids = frozenset().union(*(dag.children(z) for z in zset))
+    held = sorted(
+        (e for e in entries if not kids.isdisjoint(e.members)),
+        key=lambda e: (e.layer, e.cluster),
+    )
+    dims, cost = fold(
+        [(e.dims, e.layer, e.cluster) for e in held],
+        scope,
+        [dag.scope(z) for z in sorted(zset)],
+        states,
+        w,
+    )
+    summed = frozenset(z for z in zset if all(u.get(c) == cluster for c in dag.children(z)))
+    dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
+    return cost, dims
+
+
+def _plain_heuristic(model, remaining, live, u):
+    """The completion estimate with nothing indexed or memoised: the larger
+    of the elimination sweep and the singleton completion."""
+    dag, layers, states, w = model.dag, model.layers, model.dag.states, model.weights
+    remaining = list(remaining)
+    acc, sweep = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
+    for x in sorted(remaining, key=lambda x: (layers.of(x), table_size(dag.scope(x), states), x)):
+        acc, c = multiply_cost(acc, dag.scope(x), states, w)
+        sweep += c
+        acc, c = marginalize_cost(acc, x, states, w)
+        sweep += c
+    labels = founding_labels(dag, layers)
+    entries, u2, singles = list(live), dict(u), 0.0
+    for z in sorted(remaining, key=lambda x: (layers.of(x), x)):
+        k = labels[z]
+        cost, dims = _plain_transition(model, u2, entries, k, layers.of(z), frozenset({z}))
+        entries.append(JEntry(k, layers.of(z), frozenset({z}), dims))
+        u2[z] = k
+        singles += cost
+    return max(sweep, singles)
+
+
+class _StateLog(ClusterSearch):
+    """Records the (remaining, live, u) the search estimates from at every
+    proposal."""
+
+    def _propose_parents(self, br, popped):
+        self.log.append((self._unassigned(br), self._live_entries(br), dict(br.u)))
+        super()._propose_parents(br, popped)
+
+
+def _estimate_runs():
+    small = [seven_node_example()] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(20)
+    ]
+    for dag in small:
+        for alpha in (0.0, 0.5, 1.0):
+            yield dag, SearchConfig(alpha=alpha, seed=0)
+    for seed in (1, 2):
+        yield generate_dag(GeneratorSpec(n=50, seed=seed)), SearchConfig(seed=0, max_iterations=200)
+
+
+def test_memoised_estimate_equals_reference():
+    """On every state real searches estimate from, the estimate equals the
+    plain one exactly, with the memo kept across a search's calls as the
+    search keeps it and without one; a child neither assigned nor remaining
+    is refused with the same error."""
+    states = 0
+    for dag, cfg in _estimate_runs():
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        cs = _StateLog(dag, layers, model, cfg)
+        cs.log = [(list(dag.node_ids()), [], {})]
+        cs.run()
+        memo = {}
+        for remaining, live, u in cs.log:
+            expect = _plain_heuristic(model, remaining, live, u)
+            assert model.heuristic(remaining, live, u, memo) == expect
+            assert model.heuristic(remaining, live, u) == expect
+        states += len(cs.log)
+        if dag.n > 10:
+            continue
+        # Leave one node out of a fresh completion: each of its parents
+        # then has a child neither assigned nor remaining.
+        for x in dag.node_ids():
+            rest = [y for y in dag.node_ids() if y != x]
+            try:
+                expect = _plain_heuristic(model, rest, [], {})
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    model.heuristic(rest, [], {}, memo)
+                assert str(got.value) == str(exc)
+            else:
+                assert not dag.parents(x)
+                assert model.heuristic(rest, [], {}, memo) == expect
+    assert states > 1000
 
 
 # -- ghat ------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+import os
 import random
 import threading
 import time
@@ -14,6 +16,7 @@ from dagclust import (
     seven_node_example,
     stream_search,
 )
+from dagclust.cli import main as cli_main
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
@@ -358,6 +361,43 @@ def test_live_entries_are_the_ungathered_records(alpha):
         assert cs.run().solutions
         checks += cs.checks
     assert checks > 0
+
+
+def test_estimate_memo_is_per_search():
+    """A search keeps its completion memo to itself: a second run on the
+    same model repeats the first, the model is unchanged, and compare's
+    threads give the rows of a single thread."""
+    dag = generate_dag(GeneratorSpec(n=30, seed=1))
+    layers = assign_layers(dag)
+    model = BnComputationCost(dag, layers)
+
+    def snapshot():
+        return {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(model).items()}
+
+    # The model builds its node tables at its first estimate, and keeps
+    # nothing else.
+    model.heuristic(dag.node_ids(), [])
+    before = snapshot()
+    runs = []
+    for _ in range(2):
+        cs = ClusterSearch(dag, layers, model, SearchConfig(seed=0, max_iterations=150))
+        runs.append(cs.run())
+        assert cs._estimates is None
+    a, b = runs
+    assert a.solutions
+    assert a.report == b.report
+    assert [(s.iteration, s.branch, s.total_cost, s.mapping) for s in a.solutions] == [
+        (s.iteration, s.branch, s.total_cost, s.mapping) for s in b.solutions
+    ]
+    assert snapshot() == before
+
+    fig1_path = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
+    rows = []
+    for jobs in ("1", "2"):
+        buf = io.StringIO()
+        assert cli_main(["compare", fig1_path, "--seeds", "3", "--alphas", "0,0.5,1", "--jobs", jobs], out=buf) == 0
+        rows.append(buf.getvalue())
+    assert rows[0] == rows[1]
 
 
 def test_heuristic_never_below_remaining_optimum(fig1, fig1_layers, fig1_model):
