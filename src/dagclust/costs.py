@@ -240,7 +240,8 @@ class BnComputationCost:
             t = memo.get(key)
             if t is None:
                 t = self._step(zset, parts, summed)
-                # Steps of one node mostly leave equal dims: keep one copy.
+                # Equal result dims recur across steps, so the memo also keeps
+                # one copy of each, keyed by itself (step keys are tuples).
                 t = memo[key] = t._replace(dims=memo.setdefault(t.dims, t.dims))
             holding.setdefault(z, []).append((l, k, pos, (t.dims, l, k)))
             pos += 1
