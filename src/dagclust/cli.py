@@ -7,11 +7,14 @@ input file, the flags, and the seed; a JSON manifest echoing that triple is
 emitted alongside the results so any run can be replayed bit-for-bit.
 
 Exit codes: 0 success, 2 input validation (also a file that cannot be read
-or written, a manifest that is not a JSON object, or a replayed input whose
-digest differs from its manifest's), 3 enumeration cap, 4 config (also an
-empty --alphas, a count or cap below 1, an infer-cost flag that the chosen
-strategy does not use, a manifest whose config or weights is not a JSON
-object, or a replayed manifest that turns on an option this version lacks).
+or written, a manifest that is not a JSON object, a replayed input whose
+digest differs from its manifest's, or a --reference mapping that leaves a
+node unassigned), 3 enumeration cap, 4 config (also an empty --alphas, a
+count or cap below 1, an operation weight that is not finite and positive, a
+mapping that names a node twice or uses a cluster label below 1, an
+infer-cost flag that the chosen strategy does not use, a manifest whose config
+or weights is not a JSON object, or a replayed manifest that turns on an
+option this version lacks).
 """
 
 from __future__ import annotations
@@ -113,11 +116,16 @@ def _parse_mapping(dag: Dag, text: str) -> dict[int, int]:
             raise CliError(f"bad mapping item {part!r}; want name=cluster", EXIT_CONFIG)
         name, _, k = part.partition("=")
         try:
-            out[dag.id_of(name.strip())] = int(k)
+            x, label = dag.id_of(name.strip()), int(k)
         except ValidationError as exc:
             raise CliError(str(exc), EXIT_VALIDATION) from None
         except ValueError:
             raise CliError(f"bad cluster label in {part!r}", EXIT_CONFIG) from None
+        if label < 1:
+            raise CliError(f"cluster label below 1 in {part!r}", EXIT_CONFIG)
+        if x in out:
+            raise CliError(f"node {name.strip()} named twice in the mapping", EXIT_CONFIG)
+        out[x] = label
     return out
 
 
@@ -201,8 +209,13 @@ def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
     for line in lines:
         line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append(_parse_mapping(dag, line))
+        if not line:
+            continue
+        mapping = _parse_mapping(dag, line)
+        missing = [dag.name(x) for x in dag.node_ids() if x not in mapping]
+        if missing:
+            raise CliError(f"reference mapping leaves nodes unassigned: {', '.join(missing)}", EXIT_VALIDATION)
+        rows.append(mapping)
     if not rows:
         raise CliError("reference file holds no mappings", EXIT_VALIDATION)
     return rows

@@ -13,6 +13,7 @@ order, which is therefore never inferred.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -28,8 +29,8 @@ class OpCostWeights:
     div: float = 3.0
 
     def __post_init__(self):
-        if self.add <= 0 or self.mul <= 0 or self.div <= 0:
-            raise ValidationError("operation cost weights must be strictly positive")
+        if not all(0 < w < math.inf for w in (self.add, self.mul, self.div)):
+            raise ValidationError("operation cost weights must be finite and strictly positive")
 
     @property
     def is_default(self) -> bool:

@@ -83,15 +83,6 @@ class SearchResult:
     report: RunReport
 
 
-@dataclass(eq=False, slots=True)
-class _QueueEntry:
-    branch: int
-    cluster: int
-    layer: int
-    ghat: float
-    seq: int
-
-
 @dataclass
 class _Branch:
     id: int
@@ -101,23 +92,22 @@ class _Branch:
     progress: int  # lowest incomplete layer
     active: bool
     alive: bool = True
-    # Queued proposals by (cluster, layer), in push order.
-    pending: dict[tuple[int, int], _QueueEntry] = field(default_factory=dict)
-    # While inactive: the lowest ghat and layer among the pending entries.
-    min_ghat: float = float("inf")
-    min_layer: float = float("inf")
+    # Queued proposals: (cluster, layer) -> (ghat, seq), in push order.
+    pending: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
 
     def cum_g(self) -> float:
         return sum(self.g.values())
 
-    def clone(self, new_id: int, creation_layer: int) -> "_Branch":
+    def clone(self, new_id: int, seqs: Iterator[int]) -> "_Branch":
+        """An inactive copy that queues the same proposals under fresh seqs."""
         return _Branch(
             id=new_id,
             u=dict(self.u),
             entries=list(self.entries),
             g=dict(self.g),
             progress=self.progress,
-            active=creation_layer == 0,
+            active=False,
+            pending={key: (ghat, next(seqs)) for key, (ghat, _) in self.pending.items()},
         )
 
 
@@ -158,14 +148,13 @@ class ClusterSearch:
         # Live branches; a killed or finished one leaves at once.
         self.branches: dict[int, _Branch] = {}
         self.branches_created = 0
-        self._ready: list[tuple[float, int, _QueueEntry]] = []
+        self._ready: list[tuple[float, int, int, tuple[int, int]]] = []
         self._waiting_ghat: list[tuple[float, int, int]] = []
         self._waiting_layer: list[tuple[int, int, int]] = []
         self.gmin = float("inf")
         self.iteration = 0
         self.emitted_mappings: set[tuple] = set()
         self._seq = itertools.count()
-        self._keys: dict[tuple[int, int], tuple[int, int]] = {}
         self._last_improvement = 0
         # The model's memo for completion estimates; lives for one run.
         self._estimates: dict | None = None
@@ -180,57 +169,52 @@ class ClusterSearch:
         b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
         self.branches[b.id] = b
         for x in self.dag.leaves:
-            self._push(_QueueEntry(b.id, self.labels[x], 0, h_all, next(self._seq)))
+            self._push(b, (self.labels[x], 0), h_all)
 
     # -- queue index ------------------------------------------------------------
     #
-    # ``_ready`` holds the entries of active branches at or below their
-    # progress, keyed (ghat, seq).  The two waiting heaps index inactive
-    # branches by their lowest (ghat, seq) and (layer, seq).  Deletion is
-    # lazy: an item whose branch was dropped or (waiting heaps only)
-    # activated is discarded when it reaches the top.
+    # ``_ready`` holds (ghat, seq, branch id, key) for the proposals of active
+    # branches at or below their progress.  The two waiting heaps index each
+    # inactive branch once, by its lowest (ghat, seq) and (layer, seq), when
+    # the pop that cloned it ends: only that pop adds to its proposals.
+    # Deletion is lazy: an item whose branch was dropped or (waiting heaps
+    # only) activated is discarded when it reaches the top.
 
-    def _push(self, entry: _QueueEntry) -> None:
-        br = self.branches[entry.branch]
-        # One key tuple per cluster-layer, shared by every branch: clones
-        # queue most proposals, and a fresh tuple each adds 56 bytes.
-        key = (entry.cluster, entry.layer)
-        br.pending[self._keys.setdefault(key, key)] = entry
-        if br.active:
-            if entry.layer <= br.progress:
-                heapq.heappush(self._ready, (entry.ghat, entry.seq, entry))
-            return
-        # An inactive branch's entries only grow, and seq rises, so its
-        # lowest key moves only when a strictly lower ghat or layer arrives.
-        if entry.ghat < br.min_ghat:
-            br.min_ghat = entry.ghat
-            heapq.heappush(self._waiting_ghat, (entry.ghat, entry.seq, br.id))
-        if entry.layer < br.min_layer:
-            br.min_layer = entry.layer
-            heapq.heappush(self._waiting_layer, (entry.layer, entry.seq, br.id))
+    def _push(self, br: _Branch, key: tuple[int, int], ghat: float) -> None:
+        seq = next(self._seq)
+        br.pending[key] = (ghat, seq)
+        if br.active and key[1] <= br.progress:
+            heapq.heappush(self._ready, (ghat, seq, br.id, key))
 
     def _activate(self, br: _Branch) -> None:
         br.active = True
-        for e in br.pending.values():
-            if e.layer <= br.progress:
-                heapq.heappush(self._ready, (e.ghat, e.seq, e))
+        for key, (ghat, seq) in br.pending.items():
+            if key[1] <= br.progress:
+                heapq.heappush(self._ready, (ghat, seq, br.id, key))
 
     def _advance(self, br: _Branch) -> None:
         """Mark the branch's lowest incomplete layer complete."""
         br.progress += 1
         if br.active:
-            for e in br.pending.values():
-                if e.layer == br.progress:
-                    heapq.heappush(self._ready, (e.ghat, e.seq, e))
+            for key, (ghat, seq) in br.pending.items():
+                if key[1] == br.progress:
+                    heapq.heappush(self._ready, (ghat, seq, br.id, key))
 
-    def _take_ready(self) -> _QueueEntry | None:
-        """Remove and return the eligible entry with the lowest (ghat, seq)."""
+    def _index_waiting(self, br: _Branch) -> None:
+        """Index an inactive branch, whose proposals are now final."""
+        ghat, seq = min(br.pending.values())
+        heapq.heappush(self._waiting_ghat, (ghat, seq, br.id))
+        layer, seq = min((l, seq) for (_, l), (_, seq) in br.pending.items())
+        heapq.heappush(self._waiting_layer, (layer, seq, br.id))
+
+    def _take_ready(self) -> tuple[_Branch, tuple[int, int]] | None:
+        """Remove and return the eligible proposal with the lowest (ghat, seq)."""
         while self._ready:
-            entry = heapq.heappop(self._ready)[2]
-            br = self.branches.get(entry.branch)
+            _, _, bid, key = heapq.heappop(self._ready)
+            br = self.branches.get(bid)
             if br is not None:
-                del br.pending[entry.cluster, entry.layer]
-                return entry
+                del br.pending[key]
+                return br, key
         return None
 
     def _next_waiting(self) -> _Branch | None:
@@ -273,7 +257,7 @@ class ClusterSearch:
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
                 if (k, l) not in br.pending:
-                    self._push(_QueueEntry(br.id, k, l, ghat_val, next(self._seq)))
+                    self._push(br, (k, l), ghat_val)
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self.dag.node_ids() if not br.u.get(x)]
@@ -305,8 +289,8 @@ class ClusterSearch:
             ):
                 terminated_early = True
                 break
-            entry = self._take_ready()
-            if entry is None:
+            taken = self._take_ready()
+            if taken is None:
                 pick = self._next_waiting()
                 if pick is None:
                     break
@@ -314,12 +298,12 @@ class ClusterSearch:
                 self._activate(pick)
                 continue
             self.iteration += 1
-            br = self.branches[entry.branch]
+            br, key = taken
             if cfg.prune_enabled:
                 self._prune_at_pop(br)
                 if not br.alive:
                     continue
-            for rec in self._process_pop(br, entry):
+            for rec in self._process_pop(br, key):
                 solutions.append(rec)
                 if on_solution is not None:
                     on_solution(rec)
@@ -346,9 +330,9 @@ class ClusterSearch:
         )
         return SearchResult(solutions=solutions, report=report)
 
-    def _process_pop(self, br: _Branch, entry: _QueueEntry) -> list[SolutionRecord]:
+    def _process_pop(self, br: _Branch, key: tuple[int, int]) -> list[SolutionRecord]:
         dag, layers = self.dag, self.layers
-        k, l = entry.cluster, entry.layer
+        k, l = key
         # A proposal with unassigned layer-l nodes pops only at l == progress,
         # so their children are all assigned and their proposals are final.
         proposals = {
@@ -368,12 +352,10 @@ class ClusterSearch:
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
         for combo in combos[1:]:
             self.branches_created += 1
-            nb = br.clone(self.branches_created, l)
+            nb = br.clone(self.branches_created, self._seq)
             self.branches[nb.id] = nb
-            for e in br.pending.values():
-                self._push(
-                    _QueueEntry(nb.id, e.cluster, e.layer, e.ghat, next(self._seq))
-                )
+            if l == 0:
+                self._activate(nb)
             holders.append((nb, combo))
 
         emissions: list[SolutionRecord] = []
@@ -392,6 +374,9 @@ class ClusterSearch:
                 if l == layers.l_max:
                     emissions.append(self._emit(holder))
             self._propose_parents(holder, combo)
+        for nb, _ in holders[1:]:
+            if not nb.active and nb.pending and nb.id in self.branches:
+                self._index_waiting(nb)
         return emissions
 
     def _emit(self, br: _Branch) -> SolutionRecord:

@@ -128,6 +128,19 @@ def test_search_reference_unreadable(tmp_path, capsys):
     assert f"cannot read {missing}" in capsys.readouterr().err
 
 
+def test_search_reference_partial_rejected(tmp_path, capsys):
+    """A reference that does not assign every node is refused when read:
+    before the manifest is written and before the search runs."""
+    ref = tmp_path / "ref.txt"
+    ref.write_text("A=2,B=6,C=7,D=2,E=3,F=1,G=2\nA=1,B=2\n")
+    man = tmp_path / "run.json"
+    code, out = run_cli("search", FIG1, "--reference", str(ref), "--manifest", str(man))
+    assert code == 2
+    assert out == ""
+    assert not man.exists()
+    assert "leaves nodes unassigned: C, D, E, F, G" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [("gen", "--n", "5", "--out"), ("search", FIG1, "--manifest")],
@@ -311,6 +324,38 @@ def test_infer_cost_totals(argv, total):
     code, out = run_cli("infer-cost", FIG1, *argv)
     assert code == 0
     assert report_lines(out)["total"] == total
+
+
+@pytest.mark.parametrize(
+    "mapping,message",
+    [
+        ("A=1,F=1,D=2,G=2,E=3,B=6,C=7,A=5", "node A named twice"),
+        ("A=-1,F=1,D=2,G=2,E=3,B=6,C=7", "label below 1 in 'A=-1'"),
+        ("A=0,F=1,D=2,G=2,E=3,B=6,C=7", "label below 1 in 'A=0'"),
+    ],
+    ids=["repeated-node", "negative-label", "zero-label"],
+)
+def test_infer_cost_bad_mapping_rejected(mapping, message, capsys):
+    code, out = run_cli("infer-cost", FIG1, "--strategy", "clusters", "--mapping", mapping)
+    assert code == 4
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", FIG1, "--w-add", "nan"),
+        ("search", FIG1, "--w-mul", "inf"),
+        ("infer-cost", FIG1, "--strategy", "be", "--w-add", "inf"),
+    ],
+    ids=["search-nan", "search-inf", "infer-cost-inf"],
+)
+def test_non_finite_weight_rejected(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 4
+    assert out == ""
+    assert "finite and strictly positive" in capsys.readouterr().err
 
 
 def test_infer_cost_jointree_wrong_graph(tmp_path):

@@ -79,10 +79,9 @@ def test_divide():
 
 
 def test_weights_must_be_positive():
-    with pytest.raises(ValidationError):
-        OpCostWeights(add=0.0)
-    with pytest.raises(ValidationError):
-        OpCostWeights(div=-1.0)
+    for bad in ({"add": 0.0}, {"div": -1.0}, {"add": float("nan")}, {"mul": float("inf")}):
+        with pytest.raises(ValidationError, match="finite and strictly positive"):
+            OpCostWeights(**bad)
 
 
 # -- schedules -----------------------------------------------------------------

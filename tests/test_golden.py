@@ -78,8 +78,9 @@ def _stream_runs():
 
 
 def test_search_stream_digest():
+    """The digest, and next to it the report counters summed over the runs."""
     h = hashlib.sha256()
-    count = 0
+    count = iterations = branches = solutions = 0
     for dag, config in _stream_runs():
         layers = assign_layers(dag)
         res = search(dag, layers, BnComputationCost(dag, layers), config)
@@ -87,5 +88,10 @@ def test_search_stream_digest():
         for r in res.solutions:
             h.update(repr((r.iteration, r.branch, repr(r.total_cost), sorted(r.mapping.items()))).encode())
             count += 1
-    assert count == 6018
+        iterations += res.report.iterations_total
+        branches += res.report.branches_created
+        solutions += res.report.solutions_emitted
+    assert count == solutions == 6018
+    assert iterations == 51565
+    assert branches == 22983
     assert h.hexdigest() == STREAM_DIGEST

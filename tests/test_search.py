@@ -22,7 +22,6 @@ from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
     ClusterSearch,
     ConfigError,
-    _QueueEntry,
     enumerate_combos,
     partition_signature,
 )
@@ -200,21 +199,22 @@ def test_max_iterations_flagged(fig1, fig1_layers, fig1_model):
 def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
-    eligible = [e for _, _, e in cs._ready]
-    assert {(e.cluster, e.layer) for e in eligible} == {(1, 0), (2, 0)}
-    assert all(e.ghat == pytest.approx(85.8, abs=1e-9) for e in eligible)
+    assert {key for _, _, _, key in cs._ready} == {(1, 0), (2, 0)}
+    assert all(bid == 1 for _, _, bid, _ in cs._ready)
+    assert all(ghat == pytest.approx(85.8, abs=1e-9) for ghat, _, _, _ in cs._ready)
 
 
 def test_first_pop_proposes_parent_clusters(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
-    entry = cs._take_ready()
-    assert entry.cluster == 1  # the F proposal was pushed first
-    cs._process_pop(cs.branches[entry.branch], entry)
-    added = {key: e for key, e in cs.branches[1].pending.items() if e.layer == 2}
+    br, key = cs._take_ready()
+    assert br is cs.branches[1]
+    assert key == (1, 0)  # the F proposal was pushed first
+    cs._process_pop(br, key)
+    added = {key: ghat for key, (ghat, _) in cs.branches[1].pending.items() if key[1] == 2}
     assert set(added) == {(1, 2), (5, 2)}
-    for e in added.values():
-        assert e.ghat == pytest.approx(87.8, abs=1e-9)
+    for ghat in added.values():
+        assert ghat == pytest.approx(87.8, abs=1e-9)
 
 
 def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
@@ -232,13 +232,21 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
-    clone = br.clone(99, creation_layer=1)
+    clone = br.clone(99, cs._seq)
+    assert not clone.active
+    assert list(clone.pending) == list(br.pending)
+    assert all(c[1] > b[1] for c, b in zip(clone.pending.values(), br.pending.values()))
     cs.branches[99] = clone
-    cs._push(_QueueEntry(99, 3, 0, 50.0, 999))
-    assert all(e.branch != 99 for _, _, e in cs._ready)
-    assert any(bid == 99 for _, _, bid in cs._waiting_ghat)
+    cs._push(clone, (3, 0), 50.0)
+    assert all(bid != 99 for _, _, bid, _ in cs._ready)
+    assert cs._waiting_top(cs._waiting_ghat) is None
+    cs._index_waiting(clone)
+    assert cs._waiting_ghat[0] == (50.0, clone.pending[3, 0][1], 99)
+    assert cs._waiting_layer[0] == (0, clone.pending[1, 0][1], 99)
+    assert cs._next_waiting() is clone
     cs._activate(clone)
-    assert any(e.branch == 99 for _, _, e in cs._ready)
+    assert {key for _, _, bid, key in cs._ready if bid == 99} == {(1, 0), (2, 0), (3, 0)}
+    assert cs._waiting_top(cs._waiting_ghat) is None
 
 
 def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
@@ -247,8 +255,8 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     a = cs.branches[1]
-    b = a.clone(2, creation_layer=1)
-    c = a.clone(3, creation_layer=1)
+    b = a.clone(2, cs._seq)
+    c = a.clone(3, cs._seq)
     cs.branches[2] = b
     cs.branches[3] = c
     a.g = {0: 35.2}
@@ -410,31 +418,37 @@ def test_heuristic_never_below_remaining_optimum(fig1, fig1_layers, fig1_model):
 
 
 def _scan_ready(cs):
-    """The eligible entry with the lowest (ghat, seq), found by scanning
-    every pending entry of every live active branch."""
-    eligible = []
-    for br in cs.branches.values():
-        if br.alive and br.active:
-            eligible.extend(e for e in br.pending.values() if e.layer <= br.progress)
-    return min(eligible, key=lambda e: (e.ghat, e.seq), default=None)
+    """The (branch id, key) of the eligible proposal with the lowest
+    (ghat, seq), found by scanning every pending proposal of every live
+    active branch."""
+    eligible = [
+        (ghat, seq, br.id, key)
+        for br in cs.branches.values()
+        if br.alive and br.active
+        for key, (ghat, seq) in br.pending.items()
+        if key[1] <= br.progress
+    ]
+    return min(eligible)[2:] if eligible else None
 
 
 def _scan_waiting(cs):
-    """The branch an activation picks, found by scanning every pending entry
+    """The branch an activation picks, found by scanning every pending proposal
     of every live inactive branch; the RNG draw is read from a copy."""
-    waiting = []
-    for br in cs.branches.values():
-        if br.alive and not br.active:
-            waiting.extend(br.pending.values())
+    waiting = [
+        (ghat, layer, seq, br)
+        for br in cs.branches.values()
+        if br.alive and not br.active
+        for (_, layer), (ghat, seq) in br.pending.items()
+    ]
     if not waiting:
         return None
     draw = random.Random()
     draw.setstate(cs.rng.getstate())
     if draw.random() < cs.config.alpha:
-        pick = min(waiting, key=lambda e: (e.ghat, e.seq))
+        pick = min(waiting, key=lambda w: (w[0], w[2]))
     else:
-        pick = min(waiting, key=lambda e: (e.layer, e.seq))
-    return cs.branches[pick.branch]
+        pick = min(waiting, key=lambda w: (w[1], w[2]))
+    return pick[3]
 
 
 class _Differential(ClusterSearch):
@@ -445,7 +459,10 @@ class _Differential(ClusterSearch):
     def _take_ready(self):
         expect = _scan_ready(self)
         got = super()._take_ready()
-        assert got is expect, (self.iteration, got, expect)
+        if expect is None:
+            assert got is None, (self.iteration, got)
+        else:
+            assert got[0] is self.branches[expect[0]] and got[1] == expect[1], (self.iteration, got, expect)
         self.pops += got is not None
         return got
 
@@ -464,7 +481,7 @@ def _differential_graphs():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_index_picks_what_a_full_scan_picks(alpha):
     """Every pop and activation of a run is the one the brute-force scan over
-    all pending entries would choose, and at termination no index holds a
+    all pending proposals would choose, and at termination no index holds a
     valid top and no dead or finished branch is kept."""
     pops = activations = 0
     for dag in _differential_graphs():
@@ -480,3 +497,43 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         # Killed and finished branches leave at once.
         assert all(b.alive and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
+
+
+class _PushAudit(ClusterSearch):
+    """Counts pushes to inactive branches, and those that reach one the
+    current pop did not clone."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self._first_clone = None  # lowest branch id a running pop may clone
+        self.inactive_pushes = self.strays = 0
+
+    def _process_pop(self, br, key):
+        self._first_clone = self.branches_created + 1
+        try:
+            return super()._process_pop(br, key)
+        finally:
+            self._first_clone = None
+
+    def _push(self, br, key, ghat):
+        if not br.active:
+            self.inactive_pushes += 1
+            self.strays += self._first_clone is None or br.id < self._first_clone
+        super()._push(br, key, ghat)
+
+
+def test_inactive_branch_gains_proposals_only_in_its_cloning_pop():
+    """An inactive branch is indexed once, when the pop that cloned it ends,
+    so no later push may reach it: fig1 and the criterion-4 graphs."""
+    graphs = [seven_node_example()] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(100)
+    ]
+    inactive_pushes = 0
+    for dag in graphs:
+        layers = assign_layers(dag)
+        cs = _PushAudit(dag, layers, BnComputationCost(dag, layers), SearchConfig(alpha=0.5, seed=0))
+        cs.run()
+        assert cs.strays == 0
+        inactive_pushes += cs.inactive_pushes
+    assert inactive_pushes > 0
