@@ -12,10 +12,11 @@ from dagclust import BnComputationCost, SearchConfig, assign_layers, search, sev
 from dagclust.costs import evaluate_mapping
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.inference import cluster_inference_schedule
-from dagclust.oracle import iter_feasible
+from dagclust.oracle import enumerate_feasible, iter_feasible
 
 INFERENCE_DIGEST = "16a2319ddc6063cee9fc4b355f5d2269ea566be94c2f60cc74323d38781154d0"
 STREAM_DIGEST = "d006942c61c065252fa90dc5ef6d957a444a305b210de86a147635a2b34eac1f"
+ORACLE_DIGEST = "a17e47f5081bd49764b753dc22d6f2dae6fd0cd05decc842f498ba3f62bb36e2"
 
 
 def _inference_graphs():
@@ -95,3 +96,21 @@ def test_search_stream_digest():
     assert iterations == 51565
     assert branches == 22983
     assert h.hexdigest() == STREAM_DIGEST
+
+
+def test_oracle_pricing_digest():
+    """Every feasible mapping's total, in enumeration order, on fig1 and the
+    four graphs the price_mappings benchmark prices."""
+    graphs = [seven_node_example()] + [
+        generate_dag(GeneratorSpec(n=n, states=(2, 3), seed=seed))
+        for n, seed in ((16, 2001), (12, 2002), (13, 2004), (14, 2006))
+    ]
+    h = hashlib.sha256()
+    count = 0
+    for dag in graphs:
+        layers = assign_layers(dag)
+        for fm in enumerate_feasible(dag, layers, BnComputationCost(dag, layers)):
+            h.update(repr((sorted(fm.u.items()), repr(fm.total_cost))).encode())
+            count += 1
+    assert count == 13616
+    assert h.hexdigest() == ORACLE_DIGEST
