@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, founding_labels
 from .factors import (
@@ -282,6 +282,28 @@ class MappingCost:
     transitions: list[tuple[int, int, frozenset[int], float]]  # (cluster, layer, z, cost)
 
 
+def layer_transitions(
+    model: CostModel,
+    mapping: dict[int, int],
+    entries: list[JEntry],
+    layer: int,
+    nodes: Iterable[int],
+) -> Iterator[tuple[JEntry, float]]:
+    """Cost the cluster-layers that ``mapping`` makes of one layer's
+    ``nodes``, in ascending cluster order, appending each record to
+    ``entries`` before yielding it with its cost.  ``mapping`` must assign
+    the nodes and every node below them."""
+    groups: dict[int, set[int]] = {}
+    for x in nodes:
+        groups.setdefault(mapping[x], set()).add(x)
+    for k in sorted(groups):
+        z = frozenset(groups[k])
+        t = model.transition(mapping, entries, k, layer, z)
+        e = JEntry(k, layer, z, t.dims)
+        entries.append(e)
+        yield e, t.cost
+
+
 def evaluate_mapping(
     dag: Dag,
     layers: LayerAssignment,
@@ -296,13 +318,7 @@ def evaluate_mapping(
     transitions = []
     total = 0.0
     for l in range(layers.l_max + 1):
-        groups: dict[int, set[int]] = {}
-        for x in layers.members.get(l, ()):
-            groups.setdefault(mapping[x], set()).add(x)
-        for k in sorted(groups):
-            z = frozenset(groups[k])
-            t = model.transition(mapping, entries, k, l, z)
-            entries.append(JEntry(k, l, z, t.dims))
-            total += t.cost
-            transitions.append((k, l, z, t.cost))
+        for e, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ())):
+            total += cost
+            transitions.append((e.cluster, l, e.members, cost))
     return MappingCost(total=total, transitions=transitions)

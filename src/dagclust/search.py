@@ -92,6 +92,8 @@ class _Branch:
     progress: int  # lowest incomplete layer
     active: bool
     alive: bool = True
+    # The records no transition has gathered yet, in ``entries`` order.
+    live: tuple[JEntry, ...] = ()
     # Queued proposals: (cluster, layer) -> (ghat, seq), in push order.
     pending: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
 
@@ -105,6 +107,7 @@ class _Branch:
             u=dict(self.u),
             entries=list(self.entries),
             g=dict(self.g),
+            live=self.live,
             progress=self.progress,
             active=False,
             pending={key: (ghat, next(seqs)) for key, (ghat, _) in self.pending.items()},
@@ -251,7 +254,7 @@ class ClusterSearch:
         if not parents:
             return
         ghat_val = br.cum_g() + self.model.heuristic(
-            self._unassigned(br), self._live_entries(br), br.u, self._estimates
+            self._unassigned(br), br.live, br.u, self._estimates
         )
         for p in parents:
             l = self.layers.of(p)
@@ -261,15 +264,6 @@ class ClusterSearch:
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self.dag.node_ids() if not br.u.get(x)]
-
-    def _live_entries(self, br: _Branch) -> list[JEntry]:
-        """The records no transition has folded in yet: those none of whose
-        members has an assigned parent.  A parent is costed only once all its
-        children are, so its transition folds in every record holding one."""
-        parents = self.dag.parents
-        return [
-            e for e in br.entries if not any(br.u.get(p) for x in e.members for p in parents(x))
-        ]
 
     # -- main loop -------------------------------------------------------------------
 
@@ -364,7 +358,13 @@ class ClusterSearch:
                 continue
             t = self.model.transition(holder.u, holder.entries, k, l, combo)
             assert t.cost > TOL, "transition cost must be strictly positive"
-            holder.entries.append(JEntry(k, l, combo, t.dims))
+            entry = JEntry(k, l, combo, t.dims)
+            holder.entries.append(entry)
+            # The transition gathered the records holding a child of the
+            # combo; a record is live until its first gather, and the new
+            # record's members have no costed parent yet.
+            kids = frozenset().union(*(dag.children(z) for z in combo))
+            holder.live = (*(e for e in holder.live if kids.isdisjoint(e.members)), entry)
             for x in combo:
                 holder.u[x] = k
             holder.g[l] = holder.g.get(l, 0.0) + t.cost

@@ -185,7 +185,7 @@ class _StateLog(ClusterSearch):
     proposal."""
 
     def _propose_parents(self, br, popped):
-        self.log.append((self._unassigned(br), self._live_entries(br), dict(br.u)))
+        self.log.append((self._unassigned(br), list(br.live), dict(br.u)))
         super()._propose_parents(br, popped)
 
 

@@ -16,6 +16,7 @@ from dagclust import (
     similarity,
 )
 from dagclust.oracle import co_membership, iter_feasible, mapping_similarity
+from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.search import partition_signature
 
 from conftest import name_mapping, random_test_dag
@@ -80,9 +81,67 @@ def test_optimal_set_second_scan(seed):
     costs = [
         evaluate_mapping(dag, layers, model, u).total for u in iter_feasible(dag, layers)
     ]
-    assert best == pytest.approx(min(costs), abs=1e-9)
+    assert best == min(costs)
     ties = sum(1 for c in costs if abs(c - best) <= 1e-9)
     assert ties >= len(winners)  # winners collapse duplicate partitions
+
+
+class _Counting:
+    """Cost model proxy counting ``transition`` calls; ``skew`` adds
+    0.5 for every node of the mapping passed, which makes a layer's cost
+    depend on more than the layers at and below it."""
+
+    def __init__(self, inner, skew=False):
+        self.inner = inner
+        self.weights = inner.weights
+        self.heuristic = inner.heuristic
+        self.skew = skew
+        self.calls = 0
+
+    def transition(self, u, entries, cluster, layer, zset):
+        self.calls += 1
+        t = self.inner.transition(u, entries, cluster, layer, zset)
+        return t._replace(cost=t.cost + 0.5 * len(u)) if self.skew else t
+
+
+def _criterion4_graphs(count):
+    return [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(count)
+    ]
+
+
+def test_walk_totals_equal_evaluate_mapping(fig1):
+    """The walk prices iter_feasible's mappings, in its order, at exactly
+    evaluate_mapping's totals."""
+    priced = 0
+    for dag in [fig1] + _criterion4_graphs(20):
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        fms = enumerate_feasible(dag, layers, model)
+        assert [fm.u for fm in fms] == list(iter_feasible(dag, layers))
+        for fm in fms:
+            assert fm.total_cost == evaluate_mapping(dag, layers, model, fm.u).total, fm.u
+            priced += 1
+    assert priced > 48
+
+
+@pytest.mark.parametrize("run", [optimal_set, enumerate_feasible])
+def test_cap_refused_before_any_transition(fig1, fig1_layers, fig1_model, run):
+    model = _Counting(fig1_model)
+    with pytest.raises(CapExceededError) as err:
+        run(fig1, fig1_layers, model, cap=47)
+    assert err.value.size == 48 and err.value.cap == 47
+    assert model.calls == 0
+    run(fig1, fig1_layers, model, cap=48)
+    assert model.calls > 0
+
+
+def test_optimal_set_refuses_a_winner_evaluate_mapping_prices_otherwise(fig1, fig1_layers, fig1_model):
+    """A model whose layer cost reads nodes above the layer prices the walk's
+    prefixes differently from whole mappings; the winners' repricing sees it."""
+    with pytest.raises(ValidationError, match="evaluate_mapping at"):
+        optimal_set(fig1, fig1_layers, _Counting(fig1_model, skew=True))
 
 
 def test_total_cost_all_singletons(fig1, fig1_layers, fig1_model):

@@ -340,8 +340,9 @@ class _GatherLog:
 
 
 class _LiveAudit(ClusterSearch):
-    """Checks at every proposal that the live records read off the mapping
-    are the records no transition on the branch's history has gathered."""
+    """Checks at every proposal that the live records kept on the branch are
+    the records no transition on the branch's history has gathered, and
+    those none of whose members has an assigned parent."""
 
     checks = 0
 
@@ -350,12 +351,17 @@ class _LiveAudit(ClusterSearch):
         for j, e in enumerate(br.entries):
             gathered |= self.model.gathers[tuple(br.entries[:j]), e.members]
         expect = [e for i, e in enumerate(br.entries) if i not in gathered]
-        assert self._live_entries(br) == expect
+        assert list(br.live) == expect
+        parents = self.dag.parents
+        unparented = [
+            e for e in br.entries if not any(br.u.get(p) for x in e.members for p in parents(x))
+        ]
+        assert list(br.live) == unparented
         self.checks += 1
         super()._propose_parents(br, popped)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_live_entries_are_the_ungathered_records(alpha):
     graphs = [seven_node_example()] + [
         generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
