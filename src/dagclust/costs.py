@@ -59,6 +59,10 @@ class CostModel(Protocol):
     should anchor it to a concrete feasible completion.
 
     ``transition`` returns the cost and the dimensions of the new record.
+    The mapping it gets assigns the costed nodes and every node below them;
+    what else it assigns varies (a search branch, a prefix of the oracle's
+    walk, a whole mapping in ``evaluate_mapping``), and the result must not
+    depend on it.
     The search passes ``heuristic`` every record none of whose members has
     a costed parent yet, and, last, a dict that lives for one search run:
     the model may keep memoised work there, never on itself.

@@ -108,10 +108,9 @@ def iter_feasible(
         yield dict(u)
 
 
-def _checked(dag: Dag, u: dict[int, int]) -> dict[int, int]:
+def _check_contiguous(dag: Dag, u: dict[int, int]) -> None:
     if not check_contiguity(dag, u):
         raise AssertionError("enumeration produced a non-contiguous mapping")
-    return u
 
 
 def enumerate_feasible(
@@ -124,7 +123,8 @@ def enumerate_feasible(
     (else its total is nan)."""
     out = []
     for u, cost in _walk(dag, layers, cap, model):
-        u = dict(_checked(dag, u))
+        _check_contiguous(dag, u)
+        u = dict(u)
         cost = cost if model is not None else float("nan")
         out.append(FeasibleMapping(u=u, total_cost=cost, signature=partition_signature(u)))
     return out
@@ -144,7 +144,7 @@ def optimal_set(
     best = float("inf")
     winners: dict[tuple[int, ...], FeasibleMapping] = {}
     for u, cost in _walk(dag, layers, cap, model):
-        _checked(dag, u)
+        _check_contiguous(dag, u)
         if cost < best - TOL:
             best = cost
             winners = {}
