@@ -15,8 +15,8 @@ from dagclust import (
     search_space_size,
     similarity,
 )
-from dagclust.oracle import co_membership, iter_feasible, mapping_similarity
 from dagclust.generator import GeneratorSpec, generate_dag
+from dagclust.oracle import co_membership, iter_feasible, mapping_similarity
 from dagclust.search import partition_signature
 
 from conftest import name_mapping, random_test_dag
@@ -104,18 +104,15 @@ class _Counting:
         return t._replace(cost=t.cost + 0.5 * len(u)) if self.skew else t
 
 
-def _criterion4_graphs(count):
-    return [
-        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
-        for gi in range(count)
-    ]
-
-
 def test_walk_totals_equal_evaluate_mapping(fig1):
     """The walk prices iter_feasible's mappings, in its order, at exactly
     evaluate_mapping's totals."""
+    graphs = [fig1] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(20)
+    ]
     priced = 0
-    for dag in [fig1] + _criterion4_graphs(20):
+    for dag in graphs:
         layers = assign_layers(dag)
         model = BnComputationCost(dag, layers)
         fms = enumerate_feasible(dag, layers, model)
