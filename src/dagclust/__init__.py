@@ -9,7 +9,6 @@ from .dag import (
     ValidationError,
     assign_layers,
     check_contiguity,
-    classify_nodes,
     founding_labels,
     load_dag,
     parse_dag_text,
@@ -30,7 +29,6 @@ __all__ = [
     "ValidationError",
     "assign_layers",
     "check_contiguity",
-    "classify_nodes",
     "founding_labels",
     "load_dag",
     "parse_dag_text",

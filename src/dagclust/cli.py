@@ -7,7 +7,7 @@ input file, the flags, and the seed; a JSON manifest echoing that triple is
 emitted alongside the results so any run can be replayed bit-for-bit.
 
 Exit codes: 0 success, 2 input validation (also a file that cannot be read
-or written, a manifest that is not a JSON object, a replayed input whose
+or written or is not UTF-8, a manifest that is not a JSON object, a replayed input whose
 digest differs from its manifest's, or a --reference mapping that leaves a
 node unassigned), 3 enumeration cap, 4 config (also an empty --alphas, a
 count or cap below 1, an operation weight that is not finite and positive, a
@@ -38,7 +38,7 @@ from .dag import (
     load_dag,
     search_space_size,
 )
-from .costs import BnComputationCost
+from .costs import TOL, BnComputationCost
 from .factors import (
     OpCostWeights,
     bucket_elimination_cost,
@@ -48,7 +48,7 @@ from .factors import (
 )
 from .generator import GeneratorSpec, degree_histogram, generate_dag
 from .inference import cluster_inference_schedule
-from .oracle import DEFAULT_CAP, mapping_similarity, optimal_set
+from .oracle import DEFAULT_CAP, enumerate_feasible, mapping_similarity, optimal_set
 from .search import ConfigError, SearchConfig, search
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _fmt(value: float, weights: OpCostWeights, precise: bool) -> str:
 def _load(path: str) -> Dag:
     try:
         return load_dag(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
     except ValidationError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from None
@@ -205,7 +205,7 @@ def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -295,13 +295,14 @@ def cmd_oracle(args, out) -> int:
     model = _model(dag, layers, args)
     try:
         if args.all:
-            from .oracle import enumerate_feasible
-
             fms = enumerate_feasible(dag, layers, model, cap=args.cap)
             winners = sorted(fms, key=lambda f: (f.total_cost, f.signature))
             best = winners[0].total_cost if winners else float("inf")
+            # Distinct partitions within TOL of the best, as optimal_set counts.
+            count = len({f.signature for f in winners if f.total_cost - best <= TOL})
         else:
             best, winners = optimal_set(dag, layers, model, cap=args.cap)
+            count = len(winners)
     except CapExceededError as exc:
         raise CliError(str(exc), EXIT_CAP) from None
     w = model.weights
@@ -328,7 +329,7 @@ def cmd_oracle(args, out) -> int:
             part = ",".join(map(str, fm.signature))
             out.write(f"{_mapping_str(dag, fm.u)}\t{_fmt(fm.total_cost, w, args.precise)}\t{part}\n")
         out.write(f"# report\toptimal_cost={_fmt(best, w, args.precise)}\n")
-        out.write(f"# report\toptimal_solution_count={len(winners)}\n")
+        out.write(f"# report\toptimal_solution_count={count}\n")
     return EXIT_OK
 
 
@@ -516,7 +517,7 @@ def cmd_replay(args, out) -> int:
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest: {exc}", EXIT_VALIDATION) from None
     if not isinstance(manifest, dict):
         raise CliError("cannot read manifest: not a JSON object", EXIT_VALIDATION)

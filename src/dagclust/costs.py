@@ -283,7 +283,6 @@ def ghat(g_so_far: float, transition: float, heuristic_remaining: float) -> Ghat
 @dataclass
 class MappingCost:
     total: float
-    transitions: list[tuple[int, int, frozenset[int], float]]  # (cluster, layer, z, cost)
 
 
 def layer_transitions(
@@ -319,10 +318,8 @@ def evaluate_mapping(
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     entries: list[JEntry] = []
-    transitions = []
     total = 0.0
     for l in range(layers.l_max + 1):
-        for e, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ())):
+        for _, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ())):
             total += cost
-            transitions.append((e.cluster, l, e.members, cost))
-    return MappingCost(total=total, transitions=transitions)
+    return MappingCost(total=total)

@@ -182,36 +182,10 @@ def proposal_clusters(dag: Dag, labels: dict[int, int], u: dict[int, int], x: in
     return sorted({u[c] for c in dag.children(x) if c in u}) + [labels[x]]
 
 
-@dataclass(frozen=True)
-class NodeClassification:
-    """Per cluster: link nodes (a child in another cluster) and internal nodes."""
-
-    link: dict[int, frozenset[int]]
-    internal: dict[int, frozenset[int]]
-
-
 def _require_total(dag: Dag, mapping: dict[int, int]) -> None:
     missing = [dag.name(i) for i in dag.node_ids() if not mapping.get(i)]
     if missing:
         raise ValidationError(f"mapping leaves nodes unassigned: {', '.join(missing)}")
-
-
-def classify_nodes(dag: Dag, mapping: dict[int, int]) -> NodeClassification:
-    _require_total(dag, mapping)
-    link: dict[int, set[int]] = {}
-    internal: dict[int, set[int]] = {}
-    for x in dag.node_ids():
-        k = mapping[x]
-        link.setdefault(k, set())
-        internal.setdefault(k, set())
-        if any(mapping[c] != k for c in dag.children(x)):
-            link[k].add(x)
-        else:
-            internal[k].add(x)
-    return NodeClassification(
-        link={k: frozenset(v) for k, v in link.items()},
-        internal={k: frozenset(v) for k, v in internal.items()},
-    )
 
 
 def keeps_contiguity(dag: Dag, u: dict[int, int], xs: Iterable[int], k: int) -> bool:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, classify_nodes
-from .costs import BnComputationCost, JEntry
+from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
+from .costs import BnComputationCost, JEntry, layer_transitions
 from .factors import DEFAULT_WEIGHTS, OpCostWeights, fold, marginalize_away
 
 
@@ -59,11 +59,19 @@ def cluster_inference_schedule(
         for k, ms in clusters.items()
         for l in cl_layers[k]
     }
-    link = classify_nodes(dag, mapping).link
-    root_cluster = {
-        k: all(mapping[p] == k for x in ms for p in dag.parents(x))
-        for k, ms in clusters.items()
-    }
+    # Every arc between two clusters, read once.  Its tail is a link node,
+    # its head's cluster is not a root cluster, and it gives the head's
+    # cluster-layer a source and the tail's cluster a sink.
+    link: dict[int, set[int]] = {k: set() for k in clusters}
+    sources: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    sinks: dict[int, set[tuple[int, int]]] = {}
+    for p, c in dag.arcs:
+        kp, kc = mapping[p], mapping[c]
+        if kp != kc:
+            link[kp].add(p)
+            sources.setdefault((kc, layers.of(c)), set()).add((kp, layers.of(p)))
+            sinks.setdefault(kp, set()).add((kc, layers.of(c)))
+    roots = clusters.keys() - {k for k, _ in sources}
 
     steps: list[InferenceStep] = []
 
@@ -75,7 +83,7 @@ def cluster_inference_schedule(
     joint: dict[int, frozenset[int]] = {}
 
     for k in sorted(clusters, key=lambda k: (-cl_layers[k][0], k)):
-        if root_cluster[k]:
+        if k in roots:
             # No incoming arcs: fold the whole cluster's tables into one
             # joint, then give each link layer its own exported marginal.
             own = sorted(clusters[k], key=lambda x: (layers.of(x), x))
@@ -89,7 +97,7 @@ def cluster_inference_schedule(
 
     for l in range(layers.l_max, -1, -1):
         for k in sorted(k for k in clusters if (k, l) in members_at):
-            if root_cluster[k]:
+            if k in roots:
                 continue
             z = members_at[(k, l)]
             pending_parents = frozenset().union(
@@ -101,15 +109,7 @@ def cluster_inference_schedule(
             if above:
                 src = min(above)
                 incoming.append((fwd[(k, src)], src, k))
-            ext = sorted(
-                {
-                    (mapping[p], layers.of(p))
-                    for x in z
-                    for p in dag.parents(x)
-                    if mapping[p] != k
-                }
-            )
-            for (kk, ll) in ext:
+            for (kk, ll) in sorted(sources.get((k, l), ())):
                 incoming.append((fwd[(kk, ll)], ll, kk))
             dims, cost = fold(
                 sorted(incoming, key=lambda t: (t[1], t[2])),
@@ -137,31 +137,23 @@ def cluster_inference_schedule(
     needed = {
         (mapping[x], layers.of(x))
         for x in dag.node_ids()
-        if dag.parents(x) and not root_cluster[mapping[x]]
+        if dag.parents(x) and mapping[x] not in roots
     }
     engine = BnComputationCost(dag, layers, weights)
     entries: list[JEntry] = []
     bwd: dict[tuple[int, int], frozenset[int]] = {}
-    for (k, l) in sorted(needed, key=lambda t: (t[1], t[0])):
-        z = members_at[(k, l)]
-        t = engine.transition(mapping, entries, k, l, z)
-        entries.append(JEntry(k, l, z, t.dims))
-        bwd[(k, l)] = t.dims
-        put("backward", k, l, f"upward partial for cluster {k} layer {l}", t.cost)
+    for l in range(layers.l_max + 1):
+        nodes = [x for x in layers.members.get(l, ()) if (mapping[x], l) in needed]
+        for e, cost in layer_transitions(engine, mapping, entries, l, nodes):
+            bwd[(e.cluster, l)] = e.dims
+            put("backward", e.cluster, l, f"upward partial for cluster {e.cluster} layer {l}", cost)
 
     # ---- absorption into root clusters -------------------------------------
     root_dims: dict[int, frozenset[int]] = {}
     for k in sorted(clusters):
-        if not root_cluster[k]:
+        if k not in roots:
             continue
-        ext = sorted(
-            {
-                (mapping[c], layers.of(c))
-                for x in clusters[k]
-                for c in dag.children(x)
-                if mapping[c] != k
-            }
-        )
+        ext = sorted(sinks.get(k, ()))
         if not ext:
             root_dims[k] = joint[k]
             continue
@@ -176,7 +168,7 @@ def cluster_inference_schedule(
         k = mapping[x]
         l = layers.of(x)
         cost = 0.0
-        if root_cluster[k]:
+        if k in roots:
             dims = root_dims[k]
         else:
             dims = fwd[(k, l)]

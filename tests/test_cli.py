@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import dagclust
 from dagclust import SearchConfig, assign_layers, load_dag, parse_dag_text
 from dagclust.cli import build_parser, main
 from dagclust.generator import GeneratorSpec, degree_histogram, generate_dag
@@ -306,6 +307,15 @@ def test_oracle_all_chain(tmp_path):
     assert all("\t" in l for l in body)
 
 
+def test_oracle_all_counts_optimal_partitions():
+    """--all lists every feasible mapping but counts only the optima."""
+    code, out = run_cli("oracle", FIG1, "--all")
+    assert code == 0
+    body = [l for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert len(body) == 48
+    assert report_lines(out) == {"optimal_cost": "54.0", "optimal_solution_count": "3"}
+
+
 # -- infer-cost --------------------------------------------------------------------
 
 
@@ -533,6 +543,20 @@ def test_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("layers", "{bad}"), ("search", FIG1, "--reference", "{bad}"), ("replay", "{bad}")],
+    ids=["graph", "reference", "manifest"],
+)
+def test_non_utf8_input_rejected(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"node A\n\xff\xfe\n")
+    code, out = run_cli(*(a.format(bad=bad) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_removed_options_rejected():
     assert run_cli("search", FIG1, "--gmin-inf")[0] == 4
     assert run_cli("search", FIG1, "--gmin-inf", "--no-prune")[0] == 4
@@ -584,6 +608,41 @@ def test_option_census():
         "max_iterations",
         "stall_window",
         "prune_enabled",
+    ]
+
+
+def test_public_api_census():
+    """The package's public names.  A change to the API shows up as a diff
+    here."""
+    assert sorted(dagclust.__all__) == [
+        "BnComputationCost",
+        "CapExceededError",
+        "Dag",
+        "GeneratorSpec",
+        "JEntry",
+        "LayerAssignment",
+        "OpCostWeights",
+        "SearchConfig",
+        "SolutionRecord",
+        "ValidationError",
+        "assign_layers",
+        "check_contiguity",
+        "cluster_inference_cost",
+        "enumerate_feasible",
+        "eval_schedule",
+        "evaluate_mapping",
+        "founding_labels",
+        "generate_dag",
+        "ghat",
+        "load_dag",
+        "optimal_set",
+        "parse_dag_text",
+        "partition_signature",
+        "search",
+        "search_space_size",
+        "seven_node_example",
+        "similarity",
+        "stream_search",
     ]
 
 

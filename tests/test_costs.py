@@ -11,6 +11,7 @@ from dagclust import (
     parse_dag_text,
     seven_node_example,
 )
+from dagclust.costs import layer_transitions
 from dagclust.dag import founding_labels
 from dagclust.factors import (
     Marginalize,
@@ -281,7 +282,11 @@ def test_evaluate_rejects_noncontiguous():
 
 def test_worked_per_step_costs(fig1, fig1_layers, fig1_model):
     u = name_mapping(fig1, {"A": 1, "B": 6, "C": 7, "D": 2, "E": 3, "F": 1, "G": 2})
-    res = evaluate_mapping(fig1, fig1_layers, fig1_model, u)
-    by_cl = {(k, l): cost for k, l, _, cost in res.transitions}
+    entries = []
+    by_cl = {
+        (e.cluster, l): cost
+        for l in range(fig1_layers.l_max + 1)
+        for e, cost in layer_transitions(fig1_model, u, entries, l, fig1_layers.members.get(l, ()))
+    }
     assert by_cl[(2, 0)] == pytest.approx(10.4, abs=1e-9)
     assert by_cl[(2, 1)] == pytest.approx(13.6, abs=1e-9)

@@ -10,7 +10,6 @@ from dagclust import (
     ValidationError,
     assign_layers,
     check_contiguity,
-    classify_nodes,
     parse_dag_text,
     search_space_size,
 )
@@ -148,33 +147,7 @@ def test_founding_labels(fig1, fig1_layers):
     assert named == {"F": 1, "G": 2, "D": 3, "E": 4, "A": 5, "B": 6, "C": 7}
 
 
-# -- classification and contiguity ----------------------------------------------
-
-
-def test_classify_nodes_optimal_row(fig1):
-    u = name_mapping(fig1, {"A": 2, "B": 6, "C": 7, "D": 2, "E": 3, "F": 1, "G": 2})
-    cls = classify_nodes(fig1, u)
-    link = {fig1.name(x) for members in cls.link.values() for x in members}
-    assert link == {"A", "B", "C", "E"}
-    internal = {fig1.name(x) for members in cls.internal.values() for x in members}
-    assert internal == {"D", "F", "G"}
-    for k in cls.link:
-        assert not (cls.link[k] & cls.internal[k])
-
-
-def test_classify_all_one_cluster(fig1):
-    u = {i: 1 for i in fig1.node_ids()}
-    cls = classify_nodes(fig1, u)
-    assert cls.link[1] == frozenset()
-    assert cls.internal[1] == frozenset(fig1.node_ids())
-
-
-def test_classify_all_singletons(fig1):
-    u = {i: i for i in fig1.node_ids()}
-    cls = classify_nodes(fig1, u)
-    link = {x for members in cls.link.values() for x in members}
-    non_leaves = {i for i in fig1.node_ids() if fig1.children(i)}
-    assert link == non_leaves
+# -- contiguity ----------------------------------------------
 
 
 def test_contiguity_chain_break():

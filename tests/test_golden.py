@@ -9,7 +9,7 @@ says why.
 import hashlib
 
 from dagclust import BnComputationCost, SearchConfig, assign_layers, search, seven_node_example
-from dagclust.costs import evaluate_mapping
+from dagclust.costs import layer_transitions
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.inference import cluster_inference_schedule
 from dagclust.oracle import enumerate_feasible, iter_feasible
@@ -55,8 +55,12 @@ def test_upward_steps_are_engine_transitions():
     for the same cluster-layer of the mapping."""
     checked = 0
     for dag, layers, mapping in _feasible(_inference_graphs()):
-        model = BnComputationCost(dag, layers)
-        engine = {(k, l): cost for k, l, _, cost in evaluate_mapping(dag, layers, model, mapping).transitions}
+        model, entries = BnComputationCost(dag, layers), []
+        engine = {
+            (e.cluster, l): cost
+            for l in range(layers.l_max + 1)
+            for e, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ()))
+        }
         for s in cluster_inference_schedule(dag, layers, mapping).steps:
             if s.phase == "backward":
                 assert s.cost == engine[(s.cluster, s.layer)], (mapping, s)
