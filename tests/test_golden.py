@@ -10,6 +10,7 @@ import hashlib
 
 from dagclust import BnComputationCost, SearchConfig, assign_layers, search, seven_node_example
 from dagclust.costs import layer_transitions
+from dagclust.dag import format_dag_text
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.inference import cluster_inference_schedule
 from dagclust.oracle import enumerate_feasible, iter_feasible
@@ -17,6 +18,7 @@ from dagclust.oracle import enumerate_feasible, iter_feasible
 INFERENCE_DIGEST = "16a2319ddc6063cee9fc4b355f5d2269ea566be94c2f60cc74323d38781154d0"
 STREAM_DIGEST = "d006942c61c065252fa90dc5ef6d957a444a305b210de86a147635a2b34eac1f"
 ORACLE_DIGEST = "a17e47f5081bd49764b753dc22d6f2dae6fd0cd05decc842f498ba3f62bb36e2"
+GENERATOR_DIGEST = "ceb58afa9ff144282db10d90f3176ff4739c904a7b4f471d67aadd4851db5e85"
 
 
 def _inference_graphs():
@@ -118,3 +120,26 @@ def test_oracle_pricing_digest():
             count += 1
     assert count == 13616
     assert h.hexdigest() == ORACLE_DIGEST
+
+
+def test_generator_digest():
+    """The text of every generated graph the tests and the benchmark use:
+    one-level specs (all nodes share a level, so stitching must flatten),
+    the criterion-4 family, the four price_mappings graphs and the eight
+    anytime_large graphs."""
+    specs = (
+        [GeneratorSpec(n=n, layers=1, seed=n) for n in range(2, 9)]
+        + [
+            GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4)
+            for gi in range(100)
+        ]
+        + [
+            GeneratorSpec(n=n, states=(2, 3), seed=seed)
+            for n, seed in ((16, 2001), (12, 2002), (13, 2004), (14, 2006))
+        ]
+        + [GeneratorSpec(n=n, seed=seed) for n in (50, 100) for seed in range(1, 5)]
+    )
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(format_dag_text(generate_dag(spec)).encode())
+    assert h.hexdigest() == GENERATOR_DIGEST
