@@ -563,6 +563,35 @@ def test_removed_options_rejected():
     assert run_cli("compare", FIG1, "--precise", "--seeds", "1", "--alphas", "1")[0] == 4
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("infer-cost", FIG1, "--strategy", "clusters", "--mapping", "Z=1"), 2, "unknown node name 'Z'"),
+        (("infer-cost", FIG1, "--strategy", "clusters", "--mapping", "A=x"), 4, "bad cluster label"),
+        (("oracle", FIG1, "--cap", "10"), 3, "exceeds cap 10"),
+        (("oracle", FIG1, "--all", "--cap", "10"), 3, "exceeds cap 10"),
+        (("search", FIG1, "--alpha", "2"), 4, "alpha must lie in [0, 1]"),
+        (("replay", "{alpha2}"), 4, "alpha must lie in [0, 1]"),
+        (("infer-cost", FIG1, "--w-add", "0"), 4, "finite and strictly positive"),
+    ],
+    ids=["unknown-node", "bad-label", "cap", "cap-all", "alpha", "replayed-alpha", "zero-weight"],
+)
+def test_exit_code_table(tmp_path, capsys, argv, code, message):
+    """Each library exception reaches ``main`` as its exit code and one
+    ``dagclust: error:`` line."""
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    manifest = json.loads(man.read_text())
+    manifest["config"]["alpha"] = 2
+    man.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    got, out = run_cli(*(a.format(alpha2=man) for a in argv))
+    assert (got, out) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("dagclust: error: ")
+    assert message in err
+
+
 def test_option_census():
     """Every option of every subcommand, and every search setting.  A new
     knob shows up as a diff here."""
