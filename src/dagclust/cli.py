@@ -42,7 +42,6 @@ from .costs import TOL, BnComputationCost
 from .factors import (
     OpCostWeights,
     bucket_elimination_cost,
-    dump_schedule_tsv,
     eval_schedule,
     jointree_fixture_schedule,
 )
@@ -91,8 +90,6 @@ def _load(path: str) -> Dag:
         return load_dag(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
-    except ValidationError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
 
 
 def _weights(args) -> OpCostWeights:
@@ -115,10 +112,9 @@ def _parse_mapping(dag: Dag, text: str) -> dict[int, int]:
         if "=" not in part:
             raise CliError(f"bad mapping item {part!r}; want name=cluster", EXIT_CONFIG)
         name, _, k = part.partition("=")
+        x = dag.id_of(name.strip())
         try:
-            x, label = dag.id_of(name.strip()), int(k)
-        except ValidationError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
+            label = int(k)
         except ValueError:
             raise CliError(f"bad cluster label in {part!r}", EXIT_CONFIG) from None
         if label < 1:
@@ -187,19 +183,6 @@ def cmd_layers(args, out) -> int:
     return EXIT_OK
 
 
-def _search_config(args) -> SearchConfig:
-    try:
-        return SearchConfig(
-            alpha=args.alpha,
-            seed=args.seed,
-            max_iterations=args.max_iters,
-            stall_window=args.stall,
-            prune_enabled=not args.no_prune,
-        )
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
-
-
 def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
     rows = []
     try:
@@ -227,7 +210,13 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
-    config = _search_config(args)
+    config = SearchConfig(
+        alpha=args.alpha,
+        seed=args.seed,
+        max_iterations=args.max_iters,
+        stall_window=args.stall,
+        prune_enabled=not args.no_prune,
+    )
     references = _read_references(dag, args.reference) if args.reference else None
 
     if manifest is None:
@@ -293,18 +282,15 @@ def cmd_oracle(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = _model(dag, layers, args)
-    try:
-        if args.all:
-            fms = enumerate_feasible(dag, layers, model, cap=args.cap)
-            winners = sorted(fms, key=lambda f: (f.total_cost, f.signature))
-            best = winners[0].total_cost if winners else float("inf")
-            # Distinct partitions within TOL of the best, as optimal_set counts.
-            count = len({f.signature for f in winners if f.total_cost - best <= TOL})
-        else:
-            best, winners = optimal_set(dag, layers, model, cap=args.cap)
-            count = len(winners)
-    except CapExceededError as exc:
-        raise CliError(str(exc), EXIT_CAP) from None
+    if args.all:
+        fms = enumerate_feasible(dag, layers, model, cap=args.cap)
+        winners = sorted(fms, key=lambda f: (f.total_cost, f.signature))
+        best = winners[0].total_cost if winners else float("inf")
+        # Distinct partitions within TOL of the best, as optimal_set counts.
+        count = len({f.signature for f in winners if f.total_cost - best <= TOL})
+    else:
+        best, winners = optimal_set(dag, layers, model, cap=args.cap)
+        count = len(winners)
     w = model.weights
     if args.format == "json":
         json.dump(
@@ -344,29 +330,11 @@ def cmd_infer_cost(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     weights = _weights(args)
-    if args.strategy == "be":
-        target = dag.id_of(args.target) if args.target else dag.leaves[0]
-        order = None
-        if args.order:
-            order = [dag.id_of(n.strip()) for n in args.order.split(",")]
-        try:
-            total, rows = bucket_elimination_cost(dag, layers, target, order, weights)
-        except ValidationError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
-    elif args.strategy == "jointree-fixture":
-        try:
-            schedule = jointree_fixture_schedule(dag)
-        except ValidationError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
-        total, rows = eval_schedule(schedule, dag.states, weights)
-    elif args.strategy == "clusters":
+    if args.strategy == "clusters":
         if not args.mapping:
             raise CliError("--strategy clusters requires --mapping", EXIT_CONFIG)
         mapping = _parse_mapping(dag, args.mapping)
-        try:
-            res = cluster_inference_schedule(dag, layers, mapping, weights)
-        except ValidationError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION) from None
+        res = cluster_inference_schedule(dag, layers, mapping, weights)
         if args.format == "json":
             json.dump(
                 {
@@ -385,8 +353,12 @@ def cmd_infer_cost(args, out) -> int:
                 )
             out.write(f"# report\ttotal={_fmt(res.total, weights, args.precise)}\n")
         return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown strategy {args.strategy!r}", EXIT_CONFIG)
+    if args.strategy == "be":
+        target = dag.id_of(args.target) if args.target else dag.leaves[0]
+        order = [dag.id_of(n.strip()) for n in args.order.split(",")] if args.order else None
+        total, rows = bucket_elimination_cost(dag, layers, target, order, weights)
+    else:
+        total, rows = eval_schedule(jointree_fixture_schedule(dag), dag.states, weights)
     if args.format == "json":
         json.dump(
             {
@@ -407,7 +379,10 @@ def cmd_infer_cost(args, out) -> int:
         )
         out.write("\n")
     else:
-        out.write(dump_schedule_tsv(rows, dag, precise=args.precise))
+        out.write("step_index\top\taccumulator_id\tdims\tcost\n")
+        for r in rows:
+            dims = ",".join(dag.name(d) for d in sorted(r.dims))
+            out.write(f"{r.index}\t{r.op}\t{r.acc}\t{dims}\t{_fmt(r.cost, weights, args.precise)}\n")
         out.write(f"# report\ttotal={_fmt(total, weights, args.precise)}\n")
     return EXIT_OK
 
@@ -486,7 +461,7 @@ def cmd_compare(args, out) -> int:
             "matches_oracle": (
                 None
                 if oracle_best is None
-                else abs(res.report.optimal_cost - oracle_best) <= 1e-9
+                else abs(res.report.optimal_cost - oracle_best) <= TOL
             ),
             "final_similarity": sim,
         }
@@ -665,14 +640,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The one place where a library exception becomes an exit code.
     try:
         return args.fn(args, out)
     except CliError as exc:
-        print(f"dagclust: error: {exc}", file=sys.stderr)
-        return exc.code
+        code, error = exc.code, exc
     except ValidationError as exc:
-        print(f"dagclust: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, error = EXIT_VALIDATION, exc
+    except CapExceededError as exc:
+        code, error = EXIT_CAP, exc
+    except ConfigError as exc:
+        code, error = EXIT_CONFIG, exc
+    print(f"dagclust: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

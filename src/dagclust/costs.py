@@ -59,8 +59,9 @@ class CostModel(Protocol):
     should anchor it to a concrete feasible completion.
 
     ``transition`` returns the cost and the dimensions of the new record.
-    The mapping it gets assigns the costed nodes and every node below them;
-    what else it assigns varies (a search branch, a prefix of the oracle's
+    The mapping it gets assigns every node below the costed nodes; whether
+    it assigns the costed nodes themselves, and what else it assigns, varies
+    (a search branch before the combo joins it, a prefix of the oracle's
     walk, a whole mapping in ``evaluate_mapping``), and the result must not
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
@@ -105,16 +106,12 @@ class BnComputationCost:
         return founding_labels(self.dag, self.layers)
 
     @cached_property
-    def _scopes(self) -> dict[int, frozenset[int]]:
-        return {x: self.dag.scope(x) for x in self.dag.node_ids()}
-
-    @cached_property
     def _sweep_rank(self) -> dict[int, int]:
         """Rank in (layer, table size, node id) order, the sweep's."""
-        states = self.dag.states
+        dag = self.dag
         order = sorted(
-            self.dag.node_ids(),
-            key=lambda x: (self.layers.of(x), table_size(self._scopes[x], states), x),
+            dag.node_ids(),
+            key=lambda x: (self.layers.of(x), table_size(dag.scope(x), dag.states), x),
         )
         return {x: r for r, x in enumerate(order)}
 
@@ -166,8 +163,8 @@ class BnComputationCost:
         ``(dims, layer, cluster)`` parts with Z's own tables, then sum out
         ``summed``.  Pure, so equal inputs give equal results."""
         dag, states, w = self.dag, self.dag.states, self.weights
-        scope = zset.union(*(dag.parents(z) for z in zset))
-        dims, cost = fold(parts, scope, [dag.scope(z) for z in sorted(zset)], states, w)
+        tables = [dag.scope(z) for z in sorted(zset)]
+        dims, cost = fold(parts, frozenset().union(*tables), tables, states, w)
         dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
         return Transition(cost=cost, dims=dims)
 
@@ -180,16 +177,20 @@ class BnComputationCost:
         u: dict[int, int] | None = None,
         memo: dict | None = None,
     ) -> float:
-        """Upper-bound completion estimate for the unassigned nodes.
+        """Completion estimate for the unassigned nodes.
 
         Two naive completions are costed and the dearer one returned: a
         single backward elimination sweep that folds the live partials into
-        one chain and sums each remaining node straight out, and an actual
+        one chain and sums each remaining node straight out, and a
         one-cluster-per-node completion driven through the transition
-        machinery.  The latter is the cost of a concrete feasible
-        completion, which makes the estimate a true upper bound; the sweep
-        usually dominates on narrow graphs and keeps the classic naive
-        figure.
+        machinery.  At the root (every node remaining, no records) the
+        latter is the total of the founding-label mapping, a concrete
+        feasible mapping, so the estimate there bounds the optimum from
+        above and can seed the incumbent.  Away from the root it folds only
+        the live records, not every record a singleton would gather, so it
+        can fall below the cost of completing the branch with singletons.
+        The sweep usually dominates on narrow graphs and keeps the classic
+        naive figure.
 
         ``memo`` keeps the completion's steps, keyed on their gathered
         inputs, across the calls of one search; without it each call
@@ -202,14 +203,14 @@ class BnComputationCost:
         )
 
     def _sweep_estimate(self, remaining: list[int], live: Sequence[JEntry]) -> float:
-        scopes, states, w = self._scopes, self.dag.states, self.weights
+        scope, states, w = self.dag.scope, self.dag.states, self.weights
         acc, cost = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
         size = table_size(acc, states)
         acc = set(acc)
         # Multiply each node's table (the node and its parents) in and sum
         # the node out, carrying the accumulator's table size as an integer.
         for x in sorted(remaining, key=self._sweep_rank.__getitem__):
-            for d in scopes[x]:
+            for d in scope(x):
                 if d not in acc:
                     acc.add(d)
                     size *= states[d]
@@ -256,7 +257,7 @@ class BnComputationCost:
 
 @dataclass(frozen=True)
 class GhatEstimate:
-    """Priority estimate: accrued cost + transition + completion upper bound."""
+    """Priority estimate: accrued cost + transition + completion estimate."""
 
     g_so_far: float
     transition: float

@@ -43,10 +43,14 @@ class Dag:
         self.n = len(names)
         if len(set(names)) != self.n:
             raise ValidationError("duplicate node names")
-        self.states: dict[int, int] = {
-            i: (states or {}).get(i, 2) for i in range(1, self.n + 1)
-        }
+        states = states or {}
+        unknown = sorted(map(repr, set(states) - set(self.node_ids())))
+        if unknown:
+            raise ValidationError(f"state table names unknown node ids: {', '.join(unknown)}")
+        self.states: dict[int, int] = {i: states.get(i, 2) for i in self.node_ids()}
         for i, k in self.states.items():
+            if type(k) is not int:
+                raise ValidationError(f"node {self.name(i)} has state count {k!r}, not an integer")
             if k < 1:
                 raise ValidationError(f"node {self.name(i)} has state count {k} < 1")
         seen = set()
@@ -66,6 +70,7 @@ class Dag:
             pars[c].add(p)
         self._children: dict[int, frozenset[int]] = {i: frozenset(kids[i]) for i in self.node_ids()}
         self._parents: dict[int, frozenset[int]] = {i: frozenset(pars[i]) for i in self.node_ids()}
+        self._scope: dict[int, frozenset[int]] = {i: self._parents[i] | {i} for i in self.node_ids()}
         self._validate()
 
     def node_ids(self) -> range:
@@ -92,7 +97,7 @@ class Dag:
 
     def scope(self, i: int) -> frozenset[int]:
         """Dimensions of node i's conditional table: the node plus its parents."""
-        return self._parents[i] | {i}
+        return self._scope[i]
 
     def _validate(self) -> None:
         if self.n == 0:
@@ -110,21 +115,27 @@ class Dag:
                     ready.append(c)
         if seen != self.n:
             raise ValidationError("graph contains a directed cycle")
-        # Weak connectivity: one undirected component.
-        if self.n > 1:
-            adj = {i: set(self._children[i] | self._parents[i]) for i in self.node_ids()}
-            todo = [1]
-            comp = {1}
-            while todo:
-                x = todo.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        todo.append(y)
-            if len(comp) != self.n:
-                raise ValidationError(
-                    "graph is not weakly connected; split it into components first"
-                )
+        if len(weak_components(self.n, self.arcs)) > 1:
+            raise ValidationError("graph is not weakly connected; split it into components first")
+
+
+def weak_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """The weak components of a graph over nodes 1..n, ordered by smallest
+    member."""
+    root = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p, c in arcs:
+        root[find(p)] = find(c)
+    comps: dict[int, set[int]] = {}
+    for i in range(1, n + 1):
+        comps.setdefault(find(i), set()).add(i)
+    return list(comps.values())
 
 
 @dataclass(frozen=True)

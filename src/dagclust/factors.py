@@ -225,16 +225,6 @@ def eval_schedule(
     return total, rows
 
 
-def dump_schedule_tsv(rows: list[StepCost], dag: Dag, precise: bool = False) -> str:
-    """TSV dump: step_index, op, accumulator_id, dims (comma-joined names), cost."""
-    out = ["step_index\top\taccumulator_id\tdims\tcost"]
-    for r in rows:
-        dims = ",".join(dag.name(d) for d in sorted(r.dims))
-        cost = repr(r.cost) if precise else f"{r.cost:.1f}"
-        out.append(f"{r.index}\t{r.op}\t{r.acc}\t{dims}\t{cost}")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Bucket elimination
 

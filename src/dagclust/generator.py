@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .dag import Dag
+from .dag import Dag, weak_components
 
 
 @dataclass(frozen=True)
@@ -91,49 +91,24 @@ def generate_dag(spec: GeneratorSpec) -> Dag:
             extras += 1
 
     # Stitch together weak components, highest-level donor into lowest target.
-    # These arcs ignore max_in and max_out.
-    def components() -> list[set[int]]:
-        seenc: set[int] = set()
-        comps = []
-        adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-        for p, c in arcs:
-            adj[p].add(c)
-            adj[c].add(p)
-        for s in range(1, n + 1):
-            if s in seenc:
-                continue
-            comp = {s}
-            todo = [s]
-            while todo:
-                x = todo.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        todo.append(y)
-            seenc |= comp
-            comps.append(comp)
-        return comps
-
-    comps = components()
+    # These arcs ignore max_in and max_out.  Each arc joins the first two
+    # components, so the merged one stays first by smallest member.
+    comps = weak_components(n, arcs)
     while len(comps) > 1:
-        comps.sort(key=lambda c: sorted(c))
         a, b = comps[0], comps[1]
         donors = sorted(a | b, key=lambda i: (-level[i], i))
-        linked = False
         for p in donors:
-            src = a if p in a else b
             other = b if p in a else a
             targets = sorted(j for j in other if level[j] < level[p])
             if targets:
                 arcs.add((p, rng.choice(targets)))
-                linked = True
                 break
-        if not linked:
+        else:
             # All nodes share one level across the two components; flatten one.
-            x = sorted(b)[0]
+            x = min(b)
             level[x] = max(level.values()) + 1
-            arcs.add((x, sorted(a)[0]))
-        comps = components()
+            arcs.add((x, min(a)))
+        comps = [a | b, *comps[2:]]
 
     states = {
         i: rng.randint(spec.states[0], spec.states[1]) for i in range(1, n + 1)

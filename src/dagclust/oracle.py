@@ -61,7 +61,7 @@ def _walk(
     if size > cap:
         raise CapExceededError(size, cap)
     labels = founding_labels(dag, layers)
-    order = sorted(dag.node_ids(), key=lambda x: (layers.of(x), x))
+    order = sorted(labels, key=labels.__getitem__)
     # Position -> the layer completed by the nodes before it.
     done: dict[int, int] = {}
     if model is not None:

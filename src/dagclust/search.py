@@ -438,6 +438,10 @@ def stream_search(
     the search is re-raised in the consumer once the records before it have
     been yielded.  Closing the generator early stops the search at its next
     solution.
+
+    Records are yielded with ``optimal`` False.  The search sets the flag on
+    the same record objects once the run ends, since it needs the final
+    optimum, so read it only after the generator is exhausted.
     """
     import queue as _queue
     import threading

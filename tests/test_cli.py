@@ -9,6 +9,7 @@ import pytest
 import dagclust
 from dagclust import SearchConfig, assign_layers, load_dag, parse_dag_text
 from dagclust.cli import build_parser, main
+from dagclust.factors import bucket_elimination_cost
 from dagclust.generator import GeneratorSpec, degree_histogram, generate_dag
 
 FIG1 = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
@@ -366,6 +367,34 @@ def test_non_finite_weight_rejected(argv, capsys):
     assert code == 4
     assert out == ""
     assert "finite and strictly positive" in capsys.readouterr().err
+
+
+def test_infer_cost_schedule_tsv():
+    """A header line, one row per schedule step, then the total."""
+    dag = load_dag(FIG1)
+    _, rows = bucket_elimination_cost(dag, assign_layers(dag), dag.id_of("F"))
+    code, out = run_cli("infer-cost", FIG1, "--strategy", "be", "--target", "F")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "step_index\top\taccumulator_id\tdims\tcost"
+    assert len(lines) == len(rows) + 2
+    assert lines[-1] == "# report\ttotal=64.4"
+
+
+@pytest.mark.parametrize(
+    "strategy,row",
+    [
+        ("be", "17\tmarginalize\tbucket:A\tF\t0.25"),
+        ("jointree-fixture", "7\tmarginalize\tsep:AF->ABD\tA\t0.25"),
+    ],
+    ids=["be", "jointree-fixture"],
+)
+def test_infer_cost_schedule_rows_follow_weights(strategy, row):
+    """Schedule rows print costs by the total's rule: in full at non-default
+    weights, where one decimal would print 0.25 as 0.2."""
+    code, out = run_cli("infer-cost", FIG1, "--strategy", strategy, "--w-add", "0.125")
+    assert code == 0
+    assert row in out.splitlines()
 
 
 def test_infer_cost_jointree_wrong_graph(tmp_path):

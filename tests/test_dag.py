@@ -61,6 +61,21 @@ def test_disconnected_rejected():
         parse_dag_text("node A\nnode B\nnode C\nedge A B\n")
 
 
+@pytest.mark.parametrize(
+    "states,msg",
+    [
+        ({3: 4, 0: 9}, "unknown node ids: 0, 3"),
+        ({1: 2.5}, "state count 2.5, not an integer"),
+        ({2: 0}, "state count 0 < 1"),
+        ({1: True}, "state count True, not an integer"),
+    ],
+    ids=["unknown-ids", "float", "zero", "bool"],
+)
+def test_bad_state_table_rejected(states, msg):
+    with pytest.raises(ValidationError, match=msg):
+        Dag(["a", "b"], [(1, 2)], states)
+
+
 # -- layers -------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagclust import OpCostWeights, ValidationError, assign_layers, parse_dag_text
+from dagclust import OpCostWeights, ValidationError, parse_dag_text
 from dagclust.factors import (
     Divide,
     Load,
@@ -10,7 +10,6 @@ from dagclust.factors import (
     Multiply,
     bucket_elimination_cost,
     divide_cost,
-    dump_schedule_tsv,
     eval_schedule,
     fold,
     jointree_fixture_cost,
@@ -158,14 +157,6 @@ def test_marginalize_away_continues_the_running_sum():
     dims, cost = marginalize_away(fs(1, 2, 3), fs(2), BIN, W, cost=0.1)
     assert dims == fs(2)
     assert cost == (0.1 + 4 * 0.6) + 2 * 0.6
-
-
-def test_dump_tsv(fig1):
-    total, rows = bucket_elimination_cost(fig1, assign_layers(fig1), fig1.id_of("F"))
-    text = dump_schedule_tsv(rows, fig1)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step_index\top\taccumulator_id\tdims\tcost"
-    assert len(lines) == len(rows) + 1
 
 
 # -- worked totals ----------------------------------------------------------------
