@@ -99,10 +99,6 @@ def _weights(args) -> OpCostWeights:
         raise CliError(str(exc), EXIT_CONFIG) from None
 
 
-def _model(dag, layers, args):
-    return BnComputationCost(dag, layers, _weights(args))
-
-
 def _parse_mapping(dag: Dag, text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for part in text.split(","):
@@ -209,7 +205,7 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
     JSON output then embeds unchanged."""
     dag = _load(args.file)
     layers = assign_layers(dag)
-    model = _model(dag, layers, args)
+    model = BnComputationCost(dag, layers, _weights(args))
     config = SearchConfig(
         alpha=args.alpha,
         seed=args.seed,
@@ -281,7 +277,7 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
 def cmd_oracle(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
-    model = _model(dag, layers, args)
+    model = BnComputationCost(dag, layers, _weights(args))
     if args.all:
         fms = enumerate_feasible(dag, layers, model, cap=args.cap)
         winners = sorted(fms, key=lambda f: (f.total_cost, f.signature))
@@ -420,7 +416,7 @@ def cmd_gen(args, out) -> int:
 def cmd_compare(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
-    model = _model(dag, layers, args)
+    model = BnComputationCost(dag, layers, _weights(args))
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
         if not alphas:

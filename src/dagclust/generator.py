@@ -52,9 +52,6 @@ def generate_dag(spec: GeneratorSpec) -> Dag:
     # Level per node; level 0 must be populated.
     level = {i: rng.randrange(levels_n) for i in range(1, n + 1)}
     level[1] = 0
-    below: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        below.setdefault(level[i], []).append(i)
 
     arcs: set[tuple[int, int]] = set()
     in_deg: Counter = Counter()
