@@ -351,7 +351,9 @@ def cmd_infer_cost(args, out) -> int:
         return EXIT_OK
     if args.strategy == "be":
         target = dag.id_of(args.target) if args.target else dag.leaves[0]
-        order = [dag.id_of(n.strip()) for n in args.order.split(",")] if args.order else None
+        order = None
+        if args.order:
+            order = [dag.id_of(n.strip()) for n in args.order.split(",")]
         total, rows = bucket_elimination_cost(dag, layers, target, order, weights)
     else:
         total, rows = eval_schedule(jointree_fixture_schedule(dag), dag.states, weights)
@@ -636,7 +638,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # The one place where a library exception becomes an exit code.
+    # Library exceptions become exit codes here; only _weights, cmd_gen and
+    # cmd_compare map their own.
     try:
         return args.fn(args, out)
     except CliError as exc:
