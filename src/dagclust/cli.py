@@ -33,6 +33,7 @@ from .dag import (
     CapExceededError,
     Dag,
     ValidationError,
+    _require_total,
     assign_layers,
     format_dag_text,
     load_dag,
@@ -191,9 +192,7 @@ def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
         if not line:
             continue
         mapping = _parse_mapping(dag, line)
-        missing = [dag.name(x) for x in dag.node_ids() if x not in mapping]
-        if missing:
-            raise CliError(f"reference mapping leaves nodes unassigned: {', '.join(missing)}", EXIT_VALIDATION)
+        _require_total(dag, mapping)
         rows.append(mapping)
     if not rows:
         raise CliError("reference file holds no mappings", EXIT_VALIDATION)

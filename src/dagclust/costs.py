@@ -29,6 +29,10 @@ from .factors import (
 TOL = 1e-9
 # One shared empty set, so memo keys that sum nothing out do not each hold one.
 _EMPTY: frozenset[int] = frozenset()
+# Relative slack on the completion bound: the bound and the completion add
+# their terms in different orders, so their float sums may each be off by a
+# few ulps.
+_MARGIN = 1 + 1e-9
 
 
 class JEntry(NamedTuple):
@@ -115,6 +119,18 @@ class BnComputationCost:
         )
         return {x: r for r, x in enumerate(order)}
 
+    @cached_property
+    def _bound_terms(self) -> dict[int, float]:
+        """Per node x, the most its singleton step and every cut of its
+        record can cost: ``|children(x)| + 1`` multiplies, a sum-out and
+        ``|parents(x)|`` cuts, each at most the size of x's table."""
+        dag, w = self.dag, self.weights
+        return {
+            x: (w.mul * (len(dag.children(x)) + 1) + w.add * (1 + len(dag.parents(x))))
+            * table_size(dag.scope(x), dag.states)
+            for x in dag.node_ids()
+        }
+
     # -- transition ---------------------------------------------------------
 
     def transition(
@@ -189,17 +205,67 @@ class BnComputationCost:
         above and can seed the incumbent.  Away from the root it folds only
         the live records, not every record a singleton would gather, so it
         can fall below the cost of completing the branch with singletons.
-        The sweep usually dominates on narrow graphs and keeps the classic
-        naive figure.
+
+        The sweep is priced first, then a cheap upper bound on the
+        completion.  With S(x) the size of x's table, the bound adds
+        ``(mul*(|children(x)|+1) + add*(1+|parents(x)|)) * S(x)`` for each
+        remaining x and ``add * g * size(e.dims)`` for each live record e,
+        g being the number of distinct parents of e's members.  The
+        singleton step of z gathers at most one record per child and works
+        inside scope(z): each of its multiplies costs at most mul*S(z), its
+        sum-out removes at most z, and cutting a gathered part D down to
+        scope(z) costs add*(|D| - |D & scope(z)|) (the per-node charges
+        telescope), at most add*|D|.  The record that z's step makes holds
+        at most S(z) cells and is cut once by each parent of z; a live
+        record is cut once by each parent of its members.  When the bound,
+        scaled by a relative margin against float noise, is still below
+        the sweep, the completion cannot decide the estimate and is not
+        run.
+
+        The bound assumes the search's own input: the remaining nodes are
+        distinct and unassigned, each child of a remaining node is
+        remaining or assigned in ``u``, and no node lies in two records.
+        On any other input the completion runs, and refuses what it
+        refuses.
 
         ``memo`` keeps the completion's steps, keyed on their gathered
         inputs, across the calls of one search; without it each call
         starts from an empty one.
         """
         remaining = list(remaining)
+        u = u or {}
+        sweep = self._sweep_estimate(remaining, live)
+        if (
+            self._completion_bound(remaining, live) * _MARGIN < sweep
+            and self._bound_holds(remaining, live, u)
+        ):
+            return sweep
         return max(
-            self._sweep_estimate(remaining, live),
-            self._singleton_completion(remaining, live, u or {}, {} if memo is None else memo),
+            sweep,
+            self._singleton_completion(remaining, live, u, {} if memo is None else memo),
+        )
+
+    def _completion_bound(self, remaining: list[int], live: Sequence[JEntry]) -> float:
+        """Upper bound on the singleton completion of an input that
+        ``_bound_holds`` accepts; see ``heuristic``."""
+        terms, parents, states = self._bound_terms, self.dag.parents, self.dag.states
+        bound = sum(map(terms.__getitem__, remaining))
+        for e in live:
+            g = len(frozenset().union(*map(parents, e.members)))
+            bound += self.weights.add * g * table_size(e.dims, states)
+        return bound
+
+    def _bound_holds(self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int]) -> bool:
+        """True iff the input has the shape ``_completion_bound`` assumes."""
+        rem = set(remaining)
+        assigned = {x for x, k in u.items() if k}
+        held = [m for e in live for m in e.members]
+        return (
+            len(rem) == len(remaining)
+            and rem.isdisjoint(assigned)
+            and all(map((rem | assigned).issuperset, map(self.dag.children, rem)))
+            and len(set(held)) == len(held)
+            and rem.isdisjoint(held)
         )
 
     def _sweep_estimate(self, remaining: list[int], live: Sequence[JEntry]) -> float:

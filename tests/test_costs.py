@@ -11,7 +11,7 @@ from dagclust import (
     parse_dag_text,
     seven_node_example,
 )
-from dagclust.costs import layer_transitions
+from dagclust.costs import _MARGIN, layer_transitions
 from dagclust.dag import founding_labels
 from dagclust.factors import (
     Marginalize,
@@ -250,6 +250,52 @@ def test_memoised_estimate_equals_reference():
                 assert not dag.parents(x)
                 assert model.heuristic(rest, [], {}, memo) == expect
     assert states > 1000
+
+
+def test_completion_bound_covers_the_completion():
+    """On every state real searches estimate from, the input has the shape
+    the cheap bound assumes and the bound is at least the singleton
+    completion.  On the capped n=50 searches the sweep decides every
+    estimate, and the completion never runs, in the search or after it."""
+    for dag, cfg in _estimate_runs():
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        completion = model._singleton_completion
+        runs = []
+        model._singleton_completion = lambda *args: runs.append(args) or completion(*args)
+        cs = _StateLog(dag, layers, model, cfg)
+        cs.log = [(list(dag.node_ids()), [], {})]
+        cs.run()
+        for remaining, live, u in cs.log:
+            model.heuristic(remaining, live, u)
+            assert model._bound_holds(remaining, live, u)
+            assert model._completion_bound(remaining, live) >= completion(remaining, live, u, {})
+        if dag.n == 50:
+            assert len(cs.log) > 100
+            assert runs == []
+
+
+def test_bound_skip_keeps_the_refusal_on_large_graphs():
+    """Leave one node out of a fresh estimate of a 50-node graph, where the
+    bound alone would return the sweep: each of its parents then has a
+    child neither assigned nor remaining, and the completion still runs
+    and refuses it with the same error as the plain estimate."""
+    dag = generate_dag(GeneratorSpec(n=50, seed=1))
+    model = BnComputationCost(dag, assign_layers(dag))
+    refused = 0
+    for x in dag.node_ids():
+        rest = [y for y in dag.node_ids() if y != x]
+        assert model._completion_bound(rest, []) * _MARGIN < model._sweep_estimate(rest, [])
+        if not dag.parents(x):
+            assert model.heuristic(rest, [], {}) == _plain_heuristic(model, rest, [], {})
+            continue
+        with pytest.raises(ValidationError) as expect:
+            _plain_heuristic(model, rest, [], {})
+        with pytest.raises(ValidationError) as got:
+            model.heuristic(rest, [], {})
+        assert str(got.value) == str(expect.value)
+        refused += 1
+    assert refused > 20
 
 
 # -- ghat ------------------------------------------------------------------------
