@@ -6,6 +6,12 @@ dimensions.  Multiplying factors costs one multiplication per cell of the
 resulting table, marginalizing a node costs (states - 1) additions per cell
 of the shrunken table, and an elementwise ratio costs one division per cell.
 
+The product step ``fold`` and its sum-out ``marginalize_away`` carry table
+sizes as integers instead of resizing a table per operation; each charge
+equals the one ``multiply_cost`` or ``marginalize_cost`` makes.
+``inference.cluster_inference_cost`` sums their charges without building
+any steps.
+
 Schedules are explicit step lists over named accumulators, so the realized
 operation order is always recorded; total chain cost depends on multiply
 order, which is therefore never inferred.
@@ -94,14 +100,21 @@ def marginalize_away(
 ) -> tuple[frozenset[int], float]:
     """Sum ``dims - keep`` out of a table, in ascending id order.
 
-    ``cost`` is the running total of the step so far.  Each charge is added
-    to it in turn, so a step's float total does not depend on how its work
-    is split between calls.
+    ``cost`` is the running total of the step so far.  Each charge is the
+    one ``marginalize_cost`` makes, added to it in turn, so a step's float
+    total does not depend on how its work is split between calls.  The
+    table size is carried as an integer and divided by each node's state
+    count before that node is charged on the shrunken table.
     """
-    for d in sorted(dims - keep):
-        dims, c = marginalize_cost(dims, d, states, w)
-        cost += c
-    return dims, cost
+    drop = dims - keep
+    if not drop:
+        return dims, cost
+    size = table_size(dims, states)
+    for d in sorted(drop):
+        n = states[d]
+        size //= n
+        cost += (n - 1) * size * w.add
+    return dims - drop, cost
 
 
 def fold(
@@ -124,14 +137,19 @@ def fold(
     for dims, layer, cluster in parts:
         if keep is not None:
             dims, cost = marginalize_away(dims, keep, states, w, cost)
-        cut.append((dims, layer, cluster))
+        cut.append((table_size(dims, states), layer, cluster, dims))
+    cut.sort(key=lambda t: t[:3])
+    # Each multiply charges mul per cell of the grown accumulator, whose
+    # size is carried as an integer, as ``multiply_cost`` would price it.
     acc: frozenset[int] = frozenset()
-    for dims, _, _ in sorted(cut, key=lambda t: (table_size(t[0], states), t[1], t[2])):
-        acc, c = multiply_cost(acc, dims, states, w)
-        cost += c
-    for dims in tables:
-        acc, c = multiply_cost(acc, dims, states, w)
-        cost += c
+    size = 1
+    for dims in [t[3] for t in cut] + list(tables):
+        new = dims - acc
+        if new:
+            acc = acc | new
+            for d in new:
+                size *= states[d]
+        cost += size * w.mul
     return acc, cost
 
 

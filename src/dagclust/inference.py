@@ -13,6 +13,8 @@ would execute and totals its operation costs:
 * one posterior-combination step per node.
 
 Only operation costs are produced; no probability values are touched.
+``cluster_inference_schedule`` and ``cluster_inference_cost`` run one walk
+of the four passes; the cost path keeps only the step costs.
 """
 
 from __future__ import annotations
@@ -45,20 +47,45 @@ def cluster_inference_schedule(
     mapping: dict[int, int],
     weights: OpCostWeights = DEFAULT_WEIGHTS,
 ) -> InferenceCost:
+    steps: list[InferenceStep] = []
+
+    def put(phase, k, l, cost, label, *args):
+        steps.append(InferenceStep(phase, k, l, label.format(*args), cost))
+
+    _walk(dag, layers, mapping, weights, put)
+    return InferenceCost(total=sum(s.cost for s in steps), steps=steps)
+
+
+def cluster_inference_cost(
+    dag: Dag,
+    layers: LayerAssignment,
+    mapping: dict[int, int],
+    weights: OpCostWeights = DEFAULT_WEIGHTS,
+) -> float:
+    """``cluster_inference_schedule(...).total``, without building the steps."""
+    costs: list[float] = []
+    _walk(dag, layers, mapping, weights, lambda phase, k, l, cost, *label: costs.append(cost))
+    return sum(costs)
+
+
+def _walk(
+    dag: Dag, layers: LayerAssignment, mapping: dict[int, int], weights: OpCostWeights, put
+) -> None:
+    """Cost the four passes over ``mapping`` in order, calling
+    ``put(phase, cluster, layer, cost, label, *args)`` once per step; the
+    step's label is ``label.format(*args)``."""
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
-    states = dag.states
-    clusters: dict[int, set[int]] = {}
+    states, layer, scope = dag.states, layers.layer, dag.scope
+    clusters: dict[int, list[int]] = {}
+    members_at: dict[tuple[int, int], list[int]] = {}
     for x, k in mapping.items():
-        clusters.setdefault(k, set()).add(x)
-    cl_layers: dict[int, list[int]] = {
-        k: sorted({layers.of(x) for x in ms}, reverse=True) for k, ms in clusters.items()
-    }
-    members_at: dict[tuple[int, int], frozenset[int]] = {
-        (k, l): frozenset(x for x in ms if layers.of(x) == l)
-        for k, ms in clusters.items()
-        for l in cl_layers[k]
-    }
+        clusters.setdefault(k, []).append(x)
+        members_at.setdefault((k, layer[x]), []).append(x)
+    # Each cluster's layers, top first.
+    cl_layers: dict[int, list[int]] = {}
+    for k, l in sorted(members_at, key=lambda kl: -kl[1]):
+        cl_layers.setdefault(k, []).append(l)
     # Every arc between two clusters, read once.  Its tail is a link node,
     # its head's cluster is not a root cluster, and it gives the head's
     # cluster-layer a source and the tail's cluster a sink.
@@ -69,73 +96,57 @@ def cluster_inference_schedule(
         kp, kc = mapping[p], mapping[c]
         if kp != kc:
             link[kp].add(p)
-            sources.setdefault((kc, layers.of(c)), set()).add((kp, layers.of(p)))
-            sinks.setdefault(kp, set()).add((kc, layers.of(c)))
+            sources.setdefault((kc, layer[c]), set()).add((kp, layer[p]))
+            sinks.setdefault(kp, set()).add((kc, layer[c]))
     roots = clusters.keys() - {k for k, _ in sources}
-
-    steps: list[InferenceStep] = []
-
-    def put(phase, k, l, label, cost):
-        steps.append(InferenceStep(phase, k, l, label, cost))
 
     # ---- forward pass -----------------------------------------------------
     fwd: dict[tuple[int, int], frozenset[int]] = {}
     joint: dict[int, frozenset[int]] = {}
 
-    for k in sorted(clusters, key=lambda k: (-cl_layers[k][0], k)):
-        if k in roots:
-            # No incoming arcs: fold the whole cluster's tables into one
-            # joint, then give each link layer its own exported marginal.
-            own = sorted(clusters[k], key=lambda x: (layers.of(x), x))
-            joint[k], cost = fold((), None, [dag.scope(x) for x in own], states, weights)
-            put("forward", k, cl_layers[k][-1], f"joint over cluster {k}", cost)
-            for l in cl_layers[k]:
-                exported = link[k] & members_at[(k, l)]
-                if exported:
-                    fwd[(k, l)], cost = marginalize_away(joint[k], exported, states, weights)
-                    put("forward", k, l, f"export link dims at layer {l}", cost)
+    for k in sorted(roots, key=lambda k: (-cl_layers[k][0], k)):
+        # No incoming arcs: fold the whole cluster's tables into one
+        # joint, then give each link layer its own exported marginal.
+        own = sorted(clusters[k], key=lambda x: (layer[x], x))
+        joint[k], cost = fold((), None, [scope(x) for x in own], states, weights)
+        put("forward", k, cl_layers[k][-1], cost, "joint over cluster {}", k)
+        for l in cl_layers[k]:
+            exported = link[k].intersection(members_at[(k, l)])
+            if exported:
+                fwd[(k, l)], cost = marginalize_away(joint[k], exported, states, weights)
+                put("forward", k, l, cost, "export link dims at layer {}", l)
 
-    for l in range(layers.l_max, -1, -1):
-        for k in sorted(k for k in clusters if (k, l) in members_at):
-            if k in roots:
-                continue
-            z = members_at[(k, l)]
-            pending_parents = frozenset().union(
-                *(dag.parents(x) for x in clusters[k] if layers.of(x) < l)
-            )
-            scope = frozenset().union(*(dag.scope(x) for x in z))
-            incoming: list[tuple[frozenset[int], int, int]] = []
-            above = [ll for ll in cl_layers[k] if ll > l]
-            if above:
-                src = min(above)
-                incoming.append((fwd[(k, src)], src, k))
-            for (kk, ll) in sorted(sources.get((k, l), ())):
-                incoming.append((fwd[(kk, ll)], ll, kk))
-            dims, cost = fold(
-                sorted(incoming, key=lambda t: (t[1], t[2])),
-                scope | link[k] | pending_parents,
-                [dag.scope(x) for x in sorted(z)],
-                states,
-                weights,
-            )
-            keep_out = (
-                link[k]
-                | frozenset(
-                    x
-                    for x in z
-                    if not dag.children(x) or any(mapping[c] == k for c in dag.children(x))
-                )
-                | pending_parents
-            )
-            fwd[(k, l)], cost = marginalize_away(dims, keep_out, states, weights, cost)
-            put("forward", k, l, f"partial for cluster {k} layer {l}", cost)
+    for k, l in sorted(members_at, key=lambda kl: (-kl[1], kl[0])):
+        if k in roots:
+            continue
+        z = members_at[(k, l)]
+        own_layers = cl_layers[k]
+        i = own_layers.index(l)
+        pending_parents = frozenset().union(
+            *(dag.parents(x) for ll in own_layers[i + 1 :] for x in members_at[(k, ll)])
+        )
+        # The partial from the cluster's next layer up, and one per source.
+        inputs = sources.get((k, l), set()) | ({(k, own_layers[i - 1])} if i else set())
+        dims, cost = fold(
+            [(fwd[kl], kl[1], kl[0]) for kl in sorted(inputs, key=lambda kl: (kl[1], kl[0]))],
+            frozenset().union(*map(scope, z)) | link[k] | pending_parents,
+            [scope(x) for x in sorted(z)],
+            states,
+            weights,
+        )
+        # A member with a child outside the cluster is a link node, so every
+        # member survives: as a link, a leaf, or a parent of a member.
+        fwd[(k, l)], cost = marginalize_away(
+            dims, link[k].union(z, pending_parents), states, weights, cost
+        )
+        put("forward", k, l, cost, "partial for cluster {} layer {}", k, l)
 
     # ---- backward pass (needed results only) -------------------------------
     # A cluster-layer's upward partial is needed when one of its members has
     # a parent; root clusters absorb instead.  Each partial is the engine's
     # transition for that cluster-layer.
     needed = {
-        (mapping[x], layers.of(x))
+        (mapping[x], layer[x])
         for x in dag.node_ids()
         if dag.parents(x) and mapping[x] not in roots
     }
@@ -146,51 +157,36 @@ def cluster_inference_schedule(
         nodes = [x for x in layers.members.get(l, ()) if (mapping[x], l) in needed]
         for e, cost in layer_transitions(engine, mapping, entries, l, nodes):
             bwd[(e.cluster, l)] = e.dims
-            put("backward", e.cluster, l, f"upward partial for cluster {e.cluster} layer {l}", cost)
+            label = "upward partial for cluster {} layer {}"
+            put("backward", e.cluster, l, cost, label, e.cluster, l)
 
     # ---- absorption into root clusters -------------------------------------
     root_dims: dict[int, frozenset[int]] = {}
-    for k in sorted(clusters):
-        if k not in roots:
-            continue
+    for k in sorted(roots):
         ext = sorted(sinks.get(k, ()))
         if not ext:
             root_dims[k] = joint[k]
             continue
         # The joint lies within the cluster, so cutting it charges nothing.
         parts = [(bwd[cl], cl[1], cl[0]) for cl in ext]
-        parts.append((joint[k], layers.of(min(clusters[k])), k))
+        parts.append((joint[k], layer[min(clusters[k])], k))
         root_dims[k], cost = fold(parts, frozenset(clusters[k]), (), states, weights)
-        put("absorb", k, cl_layers[k][-1], f"fold upward results into cluster {k}", cost)
+        put("absorb", k, cl_layers[k][-1], cost, "fold upward results into cluster {}", k)
 
     # ---- posteriors ---------------------------------------------------------
-    for x in sorted(dag.node_ids()):
+    for x in dag.node_ids():
         k = mapping[x]
-        l = layers.of(x)
+        l = layer[x]
         cost = 0.0
         if k in roots:
             dims = root_dims[k]
         else:
             dims = fwd[(k, l)]
-            child_sources = sorted(
-                {(mapping[c], layers.of(c)) for c in dag.children(x)}
-            )
+            child_sources = sorted({(mapping[c], layer[c]) for c in dag.children(x)})
             # With no child sources the own partial is used as it is.
             if child_sources:
                 parts = [(bwd[cl], cl[1], cl[0]) for cl in child_sources]
                 parts.append((dims, l, k))
                 dims, cost = fold(parts, dims, (), states, weights)
         _, cost = marginalize_away(dims, frozenset({x}), states, weights, cost)
-        put("posterior", k, l, f"posterior of {dag.name(x)}", cost)
-
-    total = sum(s.cost for s in steps)
-    return InferenceCost(total=total, steps=steps)
-
-
-def cluster_inference_cost(
-    dag: Dag,
-    layers: LayerAssignment,
-    mapping: dict[int, int],
-    weights: OpCostWeights = DEFAULT_WEIGHTS,
-) -> float:
-    return cluster_inference_schedule(dag, layers, mapping, weights).total
+        put("posterior", k, l, cost, "posterior of {}", dag.name(x))

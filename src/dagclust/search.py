@@ -147,6 +147,11 @@ class ClusterSearch:
         self.model = model
         self.config = config or SearchConfig()
         self.labels = founding_labels(dag, layers)
+        # Per progress p, the nodes at layers >= p in id order: every node
+        # below a branch's progress is assigned.
+        self._from_layer = [
+            [x for x in dag.node_ids() if layers.layer[x] >= p] for p in range(layers.l_max + 2)
+        ]
         self.rng = random.Random(self.config.seed)
         # Live branches; a killed or finished one leaves at once.
         self.branches: dict[int, _Branch] = {}
@@ -263,7 +268,7 @@ class ClusterSearch:
                     self._push(br, (k, l), ghat_val)
 
     def _unassigned(self, br: _Branch) -> list[int]:
-        return [x for x in self.dag.node_ids() if not br.u.get(x)]
+        return [x for x in self._from_layer[br.progress] if not br.u.get(x)]
 
     # -- main loop -------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagclust import OpCostWeights, ValidationError, parse_dag_text
@@ -227,3 +227,65 @@ def test_table_size_products(a, b):
     states = {1: a, 2: b}
     assert table_size(fs(1, 2), states) == a * b
     assert table_size(fs(), states) == 1
+
+
+def _replay_away(dims, keep, states, w, cost=0.0):
+    for d in sorted(dims - keep):
+        dims, c = marginalize_cost(dims, d, states, w)
+        cost += c
+    return dims, cost
+
+
+def _replay_fold(parts, keep, tables, states, w):
+    """``fold`` as its charges were first written: one primitive per
+    operation, each table sized from scratch."""
+    cost = 0.0
+    cut = []
+    for dims, layer, cluster in parts:
+        if keep is not None:
+            dims, cost = _replay_away(dims, keep, states, w, cost)
+        cut.append((dims, layer, cluster))
+    acc = fs()
+    for dims, _, _ in sorted(cut, key=lambda t: (table_size(t[0], states), t[1], t[2])):
+        acc, c = multiply_cost(acc, dims, states, w)
+        cost += c
+    for dims in tables:
+        acc, c = multiply_cost(acc, dims, states, w)
+        cost += c
+    return acc, cost
+
+
+_node_dims = st.frozensets(st.integers(1, 6), max_size=4)
+# None keeps everything, the empty set and {7} (no part holds node 7) drop
+# everything, any other set cuts.
+_keeps = st.one_of(st.none(), st.just(fs()), st.just(fs(7)), _node_dims)
+_parts = st.lists(st.tuples(_node_dims, st.integers(0, 2), st.integers(1, 3)), max_size=5)
+_weights = st.sampled_from([W, OpCostWeights(add=0.7, mul=1.3, div=2.0)])
+
+# Three parts of one size whose multiply order changes the total: the first
+# is ordered only by layer, the second only by cluster.
+_TIE_BY_LAYER = [(fs(1, 2), 1, 1), (fs(3, 4), 0, 2), (fs(1, 3), 0, 3)]
+_TIE_BY_CLUSTER = [(fs(1, 2), 0, 1), (fs(1, 3), 0, 3), (fs(3, 4), 0, 2)]
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    _parts,
+    _keeps,
+    st.lists(_node_dims, max_size=3),
+    _weights,
+)
+@example([2] * 6, _TIE_BY_LAYER, None, [], W)
+@example([2] * 6, _TIE_BY_CLUSTER, None, [], W)
+@example([2, 3, 4, 1, 2, 3], _TIE_BY_LAYER, fs(1, 3), [fs(2, 5)], W)
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_primitive_replay(counts, parts, keep, tables, w):
+    """``fold`` and ``marginalize_away`` carry table sizes as integers; their
+    dims and float costs equal, bit for bit, a replay of the same charges
+    through ``multiply_cost``, ``marginalize_cost`` and ``table_size``."""
+    states = dict(enumerate(counts, start=1))
+    assert fold(parts, keep, tables, states, w) == _replay_fold(parts, keep, tables, states, w)
+    for dims, _, _ in parts:
+        for k in (fs(), fs(7), keep or fs()):
+            want = _replay_away(dims, k, states, w, 0.1)
+            assert marginalize_away(dims, k, states, w, 0.1) == want

@@ -18,6 +18,7 @@ from dagclust.factors import (
 from dagclust.inference import cluster_inference_schedule
 
 from conftest import name_mapping
+from test_golden import _feasible, _inference_graphs
 
 WORKED = {"A": 1, "F": 1, "D": 2, "G": 2, "E": 3, "B": 6, "C": 7}
 LINK_VARIANT = {"A": 2, "F": 1, "D": 2, "G": 2, "E": 3, "B": 6, "C": 7}
@@ -178,3 +179,24 @@ def test_whole_graph_single_cluster(fig1, fig1_layers):
 def test_requires_total_mapping(fig1, fig1_layers):
     with pytest.raises(ValidationError, match="unassigned"):
         cluster_inference_cost(fig1, fig1_layers, {1: 1})
+
+
+def test_cost_path_equals_schedule_total(fig1, fig1_layers):
+    """The cost path builds no steps but adds the same costs in the same
+    order, so its total is the schedule's exactly."""
+    named = [name_mapping(fig1, m) for m in (WORKED, LINK_VARIANT)]
+    runs = [(fig1, fig1_layers, u) for u in named] + list(_feasible(_inference_graphs()))
+    for dag, layers, u in runs:
+        total = cluster_inference_schedule(dag, layers, u).total
+        assert cluster_inference_cost(dag, layers, u) == total
+
+
+def test_cost_path_refuses_as_schedule_does(fig1, fig1_layers):
+    split = {i: 1 for i in fig1.node_ids()}
+    split[fig1.id_of("D")] = 2
+    for u in (split, {1: 1}):
+        with pytest.raises(ValidationError) as want:
+            cluster_inference_schedule(fig1, fig1_layers, u)
+        with pytest.raises(ValidationError) as got:
+            cluster_inference_cost(fig1, fig1_layers, u)
+        assert str(got.value) == str(want.value)
