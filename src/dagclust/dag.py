@@ -195,7 +195,11 @@ def proposal_clusters(dag: Dag, labels: dict[int, int], u: dict[int, int], x: in
 
 def _require_total(dag: Dag, mapping: dict[int, int]) -> None:
     missing = [dag.name(i) for i in dag.node_ids() if not mapping.get(i)]
-    if missing:
+    # With every id present, a mapping of length n holds no other key.
+    if missing or len(mapping) != dag.n:
+        unknown = sorted(map(repr, mapping.keys() - dag.node_ids()))
+        if unknown:
+            raise ValidationError(f"mapping names unknown node ids: {', '.join(unknown)}")
         raise ValidationError(f"mapping leaves nodes unassigned: {', '.join(missing)}")
 
 

@@ -15,14 +15,30 @@ would execute and totals its operation costs:
 Only operation costs are produced; no probability values are touched.
 ``cluster_inference_schedule`` and ``cluster_inference_cost`` run one walk
 of the four passes; the cost path keeps only the step costs.
+
+Each ``Dag`` has one memo of product steps, held weakly and so released
+with the ``Dag``, with one sub-memo per weighting.  Every step of the walk
+is looked up there before it is costed: a product (the root joint, a
+forward partial, an absorption, a posterior that folds in upward
+partials) is keyed on its parts as ``(dims, layer, cluster)``, its
+``keep`` set, the nodes whose tables it multiplies in and the set its
+sum-out keeps; a plain sum-out (a link export, any other posterior) on
+its table's dims and the set kept; an upward partial on the engine's
+``_step`` inputs, its members, gathered parts and summed set.  A fold and
+the sum-out that continues its running total are one entry, and every
+entry is costed from 0.0, so a hit returns the float a fresh walk would
+add up.  Validation runs before any lookup.  A miss stores its key and
+result with one shared copy of each frozenset and part in them.  There
+is no switch: both entry points always use the memo.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
-from .costs import BnComputationCost, JEntry, layer_transitions
+from .costs import BnComputationCost, JEntry, Transition, layer_transitions
 from .factors import DEFAULT_WEIGHTS, OpCostWeights, fold, marginalize_away
 
 
@@ -68,6 +84,72 @@ def cluster_inference_cost(
     return sum(costs)
 
 
+class _Memo:
+    """One ``Dag``'s product steps under one weighting.
+
+    ``steps`` maps a step's key to its ``(dims, cost)`` or, for an upward
+    partial, its ``Transition``.  ``shared`` keeps one copy of each
+    frozenset and tuple that a stored key or result holds.
+    """
+
+    __slots__ = ("steps", "shared")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.shared: dict = {}
+
+    def share(self, x):
+        """The stored copy of ``x``, a frozenset, a tuple of shared items,
+        or anything else as it is."""
+        if type(x) is tuple:
+            x = tuple(map(self.share, x))
+        elif type(x) is not frozenset:
+            return x
+        return self.shared.setdefault(x, x)
+
+    def store(self, key: tuple, value):
+        """Keep ``value``, whose dims the caller has shared, under ``key``
+        with the key's items shared; return ``value``."""
+        self.steps[tuple(map(self.share, key))] = value
+        return value
+
+
+# Per Dag, then per weighting.  The weights key holds each weight's type:
+# 3 == 3.0, but an int weight times a table size past 2**53 rounds once
+# where a float one rounds twice.
+_MEMOS: weakref.WeakKeyDictionary[Dag, dict[tuple, _Memo]] = weakref.WeakKeyDictionary()
+
+
+def _memo(dag: Dag, w: OpCostWeights) -> _Memo:
+    per_dag = _MEMOS.get(dag)
+    if per_dag is None:
+        per_dag = _MEMOS[dag] = {}
+    key = tuple((type(v), v) for v in (w.add, w.mul, w.div))
+    memo = per_dag.get(key)
+    if memo is None:
+        memo = per_dag[key] = _Memo()
+    return memo
+
+
+class _MemoEngine(BnComputationCost):
+    """The engine's transition, with ``_step`` looked up in a memo.  The
+    search's own models keep no memo on themselves; this one is made per
+    walk."""
+
+    def __init__(self, dag: Dag, layers: LayerAssignment, weights: OpCostWeights, memo: _Memo):
+        super().__init__(dag, layers, weights)
+        self.memo = memo
+
+    def _step(self, zset, parts, summed) -> Transition:
+        key = ("up", zset, parts, summed)
+        memo = self.memo
+        t = memo.steps.get(key)
+        if t is None:
+            t = super()._step(zset, parts, summed)
+            t = memo.store(key, t._replace(dims=memo.share(t.dims)))
+        return t
+
+
 def _walk(
     dag: Dag, layers: LayerAssignment, mapping: dict[int, int], weights: OpCostWeights, put
 ) -> None:
@@ -77,6 +159,30 @@ def _walk(
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     states, layer, scope = dag.states, layers.layer, dag.scope
+    memo = _memo(dag, weights)
+    steps = memo.steps
+
+    def product(parts, keep, nodes, kept):
+        """``fold`` of ``parts`` and the tables of ``nodes`` cut to ``keep``,
+        then summed out down to ``kept`` unless that is None."""
+        key = ("product", parts, keep, nodes, kept)
+        hit = steps.get(key)
+        if hit is None:
+            dims, cost = fold(parts, keep, [scope(x) for x in nodes], states, weights)
+            if kept is not None:
+                dims, cost = marginalize_away(dims, kept, states, weights, cost)
+            hit = memo.store(key, (memo.share(dims), cost))
+        return hit
+
+    def sum_out(dims, kept):
+        """``marginalize_away(dims, kept)`` from cost 0.0."""
+        key = ("sum", dims, kept)
+        hit = steps.get(key)
+        if hit is None:
+            out, cost = marginalize_away(dims, kept, states, weights)
+            hit = memo.store(key, (memo.share(out), cost))
+        return hit
+
     clusters: dict[int, list[int]] = {}
     members_at: dict[tuple[int, int], list[int]] = {}
     for x, k in mapping.items():
@@ -107,13 +213,13 @@ def _walk(
     for k in sorted(roots, key=lambda k: (-cl_layers[k][0], k)):
         # No incoming arcs: fold the whole cluster's tables into one
         # joint, then give each link layer its own exported marginal.
-        own = sorted(clusters[k], key=lambda x: (layer[x], x))
-        joint[k], cost = fold((), None, [scope(x) for x in own], states, weights)
+        own = tuple(sorted(clusters[k], key=lambda x: (layer[x], x)))
+        joint[k], cost = product((), None, own, None)
         put("forward", k, cl_layers[k][-1], cost, "joint over cluster {}", k)
         for l in cl_layers[k]:
             exported = link[k].intersection(members_at[(k, l)])
             if exported:
-                fwd[(k, l)], cost = marginalize_away(joint[k], exported, states, weights)
+                fwd[(k, l)], cost = sum_out(joint[k], frozenset(exported))
                 put("forward", k, l, cost, "export link dims at layer {}", l)
 
     for k, l in sorted(members_at, key=lambda kl: (-kl[1], kl[0])):
@@ -127,17 +233,13 @@ def _walk(
         )
         # The partial from the cluster's next layer up, and one per source.
         inputs = sources.get((k, l), set()) | ({(k, own_layers[i - 1])} if i else set())
-        dims, cost = fold(
-            [(fwd[kl], kl[1], kl[0]) for kl in sorted(inputs, key=lambda kl: (kl[1], kl[0]))],
-            frozenset().union(*map(scope, z)) | link[k] | pending_parents,
-            [scope(x) for x in sorted(z)],
-            states,
-            weights,
-        )
         # A member with a child outside the cluster is a link node, so every
         # member survives: as a link, a leaf, or a parent of a member.
-        fwd[(k, l)], cost = marginalize_away(
-            dims, link[k].union(z, pending_parents), states, weights, cost
+        fwd[(k, l)], cost = product(
+            tuple((fwd[kl], kl[1], kl[0]) for kl in sorted(inputs, key=lambda kl: (kl[1], kl[0]))),
+            frozenset().union(*map(scope, z)) | link[k] | pending_parents,
+            tuple(sorted(z)),
+            pending_parents.union(link[k], z),
         )
         put("forward", k, l, cost, "partial for cluster {} layer {}", k, l)
 
@@ -150,7 +252,7 @@ def _walk(
         for x in dag.node_ids()
         if dag.parents(x) and mapping[x] not in roots
     }
-    engine = BnComputationCost(dag, layers, weights)
+    engine = _MemoEngine(dag, layers, weights, memo)
     entries: list[JEntry] = []
     bwd: dict[tuple[int, int], frozenset[int]] = {}
     for l in range(layers.l_max + 1):
@@ -170,16 +272,15 @@ def _walk(
         # The joint lies within the cluster, so cutting it charges nothing.
         parts = [(bwd[cl], cl[1], cl[0]) for cl in ext]
         parts.append((joint[k], layer[min(clusters[k])], k))
-        root_dims[k], cost = fold(parts, frozenset(clusters[k]), (), states, weights)
+        root_dims[k], cost = product(tuple(parts), frozenset(clusters[k]), (), None)
         put("absorb", k, cl_layers[k][-1], cost, "fold upward results into cluster {}", k)
 
     # ---- posteriors ---------------------------------------------------------
     for x in dag.node_ids():
         k = mapping[x]
         l = layer[x]
-        cost = 0.0
         if k in roots:
-            dims = root_dims[k]
+            _, cost = sum_out(root_dims[k], frozenset((x,)))
         else:
             dims = fwd[(k, l)]
             child_sources = sorted({(mapping[c], layer[c]) for c in dag.children(x)})
@@ -187,6 +288,7 @@ def _walk(
             if child_sources:
                 parts = [(bwd[cl], cl[1], cl[0]) for cl in child_sources]
                 parts.append((dims, l, k))
-                dims, cost = fold(parts, dims, (), states, weights)
-        _, cost = marginalize_away(dims, frozenset({x}), states, weights, cost)
+                _, cost = product(tuple(parts), dims, (), frozenset((x,)))
+            else:
+                _, cost = sum_out(dims, frozenset((x,)))
         put("posterior", k, l, cost, "posterior of {}", dag.name(x))

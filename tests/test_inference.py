@@ -1,21 +1,31 @@
+import gc
+import weakref
+
 import pytest
 
 from dagclust import (
     BnComputationCost,
+    Dag,
     ValidationError,
     assign_layers,
     cluster_inference_cost,
+    evaluate_mapping,
     parse_dag_text,
 )
 from dagclust.factors import (
+    DEFAULT_WEIGHTS,
     Load,
     Marginalize,
     Multiply,
+    OpCostWeights,
     eval_schedule,
     marginalize_cost,
     multiply_cost,
 )
+from dagclust import inference
+from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.inference import cluster_inference_schedule
+from dagclust.oracle import iter_feasible
 
 from conftest import name_mapping
 from test_golden import _feasible, _inference_graphs
@@ -192,6 +202,9 @@ def test_cost_path_equals_schedule_total(fig1, fig1_layers):
 
 
 def test_cost_path_refuses_as_schedule_does(fig1, fig1_layers):
+    """Both paths refuse alike, also once the memo holds fig1's steps."""
+    for u in iter_feasible(fig1, fig1_layers):
+        cluster_inference_schedule(fig1, fig1_layers, u)
     split = {i: 1 for i in fig1.node_ids()}
     split[fig1.id_of("D")] = 2
     for u in (split, {1: 1}):
@@ -200,3 +213,114 @@ def test_cost_path_refuses_as_schedule_does(fig1, fig1_layers):
         with pytest.raises(ValidationError) as got:
             cluster_inference_cost(fig1, fig1_layers, u)
         assert str(got.value) == str(want.value)
+
+
+def test_unknown_node_ids_refused(fig1, fig1_layers):
+    u = {i: 1 for i in fig1.node_ids()}
+    u[99] = 1
+    model = BnComputationCost(fig1, fig1_layers)
+    for price in (
+        cluster_inference_cost,
+        cluster_inference_schedule,
+        lambda dag, layers, u: evaluate_mapping(dag, layers, model, u),
+    ):
+        with pytest.raises(ValidationError, match="unknown node ids: 99$"):
+            price(fig1, fig1_layers, u)
+        # Also when the unknown id stands in for a node it leaves out.
+        del u[7]
+        with pytest.raises(ValidationError, match="unknown node ids: 99$"):
+            price(fig1, fig1_layers, u)
+        u[7] = 1
+
+
+def _copy(dag):
+    """The same graph as a new ``Dag``, so with a memo of its own."""
+    return Dag(list(dag.names), sorted(dag.arcs), dag.states)
+
+
+def _priced(dag, layers, u, w=DEFAULT_WEIGHTS):
+    steps = cluster_inference_schedule(dag, layers, u, w).steps
+    return cluster_inference_cost(dag, layers, u, w), steps
+
+
+def test_warm_and_cold_memos_agree(fig1, fig1_layers):
+    """Pricing in either order on one Dag gives, bit for bit, what each
+    mapping gives on a Dag of its own."""
+    named = [name_mapping(fig1, m) for m in (WORKED, LINK_VARIANT)]
+    runs = [(fig1, fig1_layers, named)]
+    # The two n=8 graphs have steps that differ only in the set their
+    # sum-out keeps, at different costs.
+    extra = [generate_dag(GeneratorSpec(n=8, seed=s, states=(2, 3))) for s in (4, 10)]
+    for dag in _inference_graphs() + extra:
+        layers = assign_layers(dag)
+        runs.append((dag, layers, list(iter_feasible(dag, layers))))
+    for dag, layers, us in runs:
+        one, back = _copy(dag), _copy(dag)
+        forward = [_priced(one, layers, u) for u in us]
+        backward = [_priced(back, layers, u) for u in reversed(us)][::-1]
+        cold = [_priced(_copy(dag), layers, u) for u in us]
+        assert forward == backward == cold, dag.names
+
+
+def test_memo_keeps_weightings_apart():
+    alt = OpCostWeights(add=0.5, mul=2.0, div=3.0)
+    for dag in _inference_graphs():
+        layers = assign_layers(dag)
+        one = _copy(dag)
+        for u in iter_feasible(dag, layers):
+            for w in (DEFAULT_WEIGHTS, alt, DEFAULT_WEIGHTS):
+                cold = cluster_inference_cost(_copy(dag), layers, u, w)
+                assert cluster_inference_cost(one, layers, u, w) == cold, (u, w)
+    # An int weight equals its float, but times a table past 2**53 cells
+    # it rounds differently, so the two keep apart too.
+    star = Dag(
+        [f"p{i}" for i in range(29)] + ["x"],
+        [(i, 30) for i in range(1, 30)],
+        dict.fromkeys(range(1, 31), 5),
+    )
+    layers = assign_layers(star)
+    u = dict.fromkeys(star.node_ids(), 1)
+    ints, floats = OpCostWeights(mul=3), OpCostWeights(mul=3.0)
+    got = [cluster_inference_cost(star, layers, u, w) for w in (ints, floats)]
+    assert ints == floats and got[0] != got[1]
+    assert got == [cluster_inference_cost(_copy(star), layers, u, w) for w in (ints, floats)]
+
+
+def test_memo_lifetime_and_footprint(fig1):
+    dag = _copy(fig1)
+    layers = assign_layers(dag)
+    us = list(iter_feasible(dag, layers))
+    for u in us:
+        cluster_inference_cost(dag, layers, u)
+    (memo,) = inference._MEMOS[dag].values()
+    size = len(memo.steps), len(memo.shared)
+    cluster_inference_cost(dag, layers, us[0])
+    cluster_inference_schedule(dag, layers, us[0])
+    assert (len(memo.steps), len(memo.shared)) == size
+
+    # One stored object per distinct frozenset and per (dims, layer, cluster) part.
+    ids: dict = {}
+
+    def visit(x):
+        if type(x) is frozenset:
+            ids.setdefault(x, set()).add(id(x))
+        elif isinstance(x, tuple):
+            if list(map(type, x)) == [frozenset, int, int]:
+                ids.setdefault(x, set()).add(id(x))
+            for y in x:
+                visit(y)
+
+    for key, value in memo.steps.items():
+        visit(key)
+        visit(value)
+    assert any(type(x) is tuple for x in ids) and any(type(x) is frozenset for x in ids)
+    assert all(len(same) == 1 for same in ids.values())
+
+    # The memo holds its Dag weakly and goes with it.
+    gc.collect()
+    held = len(inference._MEMOS)
+    gone = weakref.ref(dag)
+    del dag, memo
+    gc.collect()
+    assert gone() is None
+    assert len(inference._MEMOS) == held - 1
