@@ -69,8 +69,10 @@ class CostModel(Protocol):
     walk, a whole mapping in ``evaluate_mapping``), and the result must not
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
-    a costed parent yet, and, last, a dict that lives for one search run:
-    the model may keep memoised work there, never on itself.
+    a costed parent yet.  Last, it passes ``transition`` and ``heuristic``
+    one dict that lives for one search run, as the oracle's walk passes
+    ``transition`` one dict per walk: the model may keep memoised work
+    there, never on itself.  A model may ignore the dict.
     """
 
     weights: OpCostWeights
@@ -82,6 +84,7 @@ class CostModel(Protocol):
         cluster: int,
         layer: int,
         zset: frozenset[int],
+        memo: dict | None = None,
     ) -> Transition: ...
 
     def heuristic(
@@ -140,7 +143,10 @@ class BnComputationCost:
         cluster: int,
         layer: int,
         zset: frozenset[int],
+        memo: dict | None = None,
     ) -> Transition:
+        """``memo`` keeps the steps, keyed on their gathered inputs, across
+        the calls that share it; it is the dict ``heuristic`` takes."""
         if not zset:
             raise ValidationError("cluster-layer node set is empty")
         summed = self._summed(u, zset, cluster)
@@ -149,7 +155,10 @@ class BnComputationCost:
             (e for e in entries if not kids.isdisjoint(e.members)),
             key=lambda e: (e.layer, e.cluster),
         )
-        return self._step(zset, tuple((e.dims, e.layer, e.cluster) for e in held), summed)
+        parts = tuple((e.dims, e.layer, e.cluster) for e in held)
+        if memo is None:
+            return self._step(zset, parts, summed)
+        return self._memo_step(memo, zset, parts, summed)
 
     def _summed(self, u: dict[int, int], zset: frozenset[int], cluster: int) -> frozenset[int]:
         """The members of Z with no child outside the cluster.  Refuses a Z
@@ -183,6 +192,23 @@ class BnComputationCost:
         dims, cost = fold(parts, frozenset().union(*tables), tables, states, w)
         dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
         return Transition(cost=cost, dims=dims)
+
+    def _memo_step(
+        self,
+        memo: dict,
+        zset: frozenset[int],
+        parts: tuple[tuple[frozenset[int], int, int], ...],
+        summed: frozenset[int],
+    ) -> Transition:
+        """``_step``, looked up in ``memo`` by its inputs.  Equal result dims
+        recur across steps, so the memo also keeps one copy of each, keyed
+        by itself (step keys are tuples)."""
+        key = (zset, parts, summed)
+        t = memo.get(key)
+        if t is None:
+            t = self._step(zset, parts, summed)
+            t = memo[key] = t._replace(dims=memo.setdefault(t.dims, t.dims))
+        return t
 
     # -- heuristic ----------------------------------------------------------
 
@@ -229,8 +255,9 @@ class BnComputationCost:
         refuses.
 
         ``memo`` keeps the completion's steps, keyed on their gathered
-        inputs, across the calls of one search; without it each call
-        starts from an empty one.
+        inputs as ``transition``'s are, across the calls of one search: a
+        singleton step and a transition of the same inputs share one entry.
+        Without it each call starts from an empty one.
         """
         remaining = list(remaining)
         u = u or {}
@@ -306,14 +333,7 @@ class BnComputationCost:
             k, l, zset = labels[z], self.layers.of(z), frozenset((z,))
             summed = self._summed(u2, zset, k)
             held = sorted({r for c in dag.children(z) for r in holding.get(c, ())})
-            parts = tuple(r[3] for r in held)
-            key = (z, parts, summed)
-            t = memo.get(key)
-            if t is None:
-                t = self._step(zset, parts, summed)
-                # Equal result dims recur across steps, so the memo also keeps
-                # one copy of each, keyed by itself (step keys are tuples).
-                t = memo[key] = t._replace(dims=memo.setdefault(t.dims, t.dims))
+            t = self._memo_step(memo, zset, tuple(r[3] for r in held), summed)
             holding.setdefault(z, []).append((l, k, pos, (t.dims, l, k)))
             pos += 1
             u2[z] = k
@@ -358,17 +378,19 @@ def layer_transitions(
     entries: list[JEntry],
     layer: int,
     nodes: Iterable[int],
+    memo: dict | None = None,
 ) -> Iterator[tuple[JEntry, float]]:
     """Cost the cluster-layers that ``mapping`` makes of one layer's
     ``nodes``, in ascending cluster order, appending each record to
     ``entries`` before yielding it with its cost.  ``mapping`` must assign
-    the nodes and every node below them."""
+    the nodes and every node below them.  ``memo`` goes to every
+    ``transition``."""
     groups: dict[int, set[int]] = {}
     for x in nodes:
         groups.setdefault(mapping[x], set()).add(x)
     for k in sorted(groups):
         z = frozenset(groups[k])
-        t = model.transition(mapping, entries, k, layer, z)
+        t = model.transition(mapping, entries, k, layer, z, memo)
         e = JEntry(k, layer, z, t.dims)
         entries.append(e)
         yield e, t.cost

@@ -105,16 +105,18 @@ class Dag:
         # Kahn's algorithm doubles as the cycle check.
         indeg = {i: len(self._parents[i]) for i in self.node_ids()}
         ready = [i for i in self.node_ids() if indeg[i] == 0]
-        seen = 0
+        order = []
         while ready:
             x = ready.pop()
-            seen += 1
+            order.append(x)
             for c in self._children[x]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     ready.append(c)
-        if seen != self.n:
+        if len(order) != self.n:
             raise ValidationError("graph contains a directed cycle")
+        # Every node after all of its children.
+        self._bottom_up: tuple[int, ...] = tuple(reversed(order))
         if len(weak_components(self.n, self.arcs)) > 1:
             raise ValidationError("graph is not weakly connected; split it into components first")
 
@@ -225,12 +227,25 @@ def keeps_contiguity(dag: Dag, u: dict[int, int], xs: Iterable[int], k: int) -> 
 
 
 def check_contiguity(dag: Dag, mapping: dict[int, int]) -> bool:
-    """True iff no directed path leaves a cluster and later re-enters it."""
+    """True iff no directed path leaves a cluster and later re-enters it.
+
+    One pass, children first, gives each node the set of clusters at or
+    below it.  A path leaves x's cluster and comes back exactly when x has
+    a child in another cluster whose set holds x's cluster.
+    """
     _require_total(dag, mapping)
-    clusters: dict[int, list[int]] = {}
-    for x, k in mapping.items():
-        clusters.setdefault(k, []).append(x)
-    return all(keeps_contiguity(dag, mapping, ms, k) for k, ms in clusters.items())
+    children = dag._children
+    below: dict[int, set[int]] = {}
+    for x in dag._bottom_up:
+        k = mapping[x]
+        mine = {k}
+        for c in children[x]:
+            theirs = below[c]
+            if k in theirs and mapping[c] != k:
+                return False
+            mine |= theirs
+        below[x] = mine
+    return True
 
 
 def search_space_size(dag: Dag, layers: LayerAssignment) -> int:

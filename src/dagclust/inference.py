@@ -29,7 +29,9 @@ the sum-out that continues its running total are one entry, and every
 entry is costed from 0.0, so a hit returns the float a fresh walk would
 add up.  Validation runs before any lookup.  A miss stores its key and
 result with one shared copy of each frozenset and part in them.  There
-is no switch: both entry points always use the memo.
+is no switch: both entry points always use the memo.  The upward pass
+hands the memo to ``layer_transitions`` as the search hands its run's
+dict, so the engine's own lookup keys and stores those steps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import weakref
 from dataclasses import dataclass
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
-from .costs import BnComputationCost, JEntry, Transition, layer_transitions
+from .costs import BnComputationCost, JEntry, layer_transitions
 from .factors import DEFAULT_WEIGHTS, OpCostWeights, fold, marginalize_away
 
 
@@ -63,12 +65,14 @@ def cluster_inference_schedule(
     mapping: dict[int, int],
     weights: OpCostWeights = DEFAULT_WEIGHTS,
 ) -> InferenceCost:
-    steps: list[InferenceStep] = []
-
-    def put(phase, k, l, cost, label, *args):
+    costs: list[float] = []
+    notes: list[tuple] = []
+    _walk(dag, layers, mapping, weights, costs, notes)
+    steps = []
+    for cost, (phase, k, l, label, *args) in zip(costs, notes):
+        if phase == "posterior":
+            args = map(dag.name, args)
         steps.append(InferenceStep(phase, k, l, label.format(*args), cost))
-
-    _walk(dag, layers, mapping, weights, put)
     return InferenceCost(total=sum(s.cost for s in steps), steps=steps)
 
 
@@ -80,7 +84,7 @@ def cluster_inference_cost(
 ) -> float:
     """``cluster_inference_schedule(...).total``, without building the steps."""
     costs: list[float] = []
-    _walk(dag, layers, mapping, weights, lambda phase, k, l, cost, *label: costs.append(cost))
+    _walk(dag, layers, mapping, weights, costs)
     return sum(costs)
 
 
@@ -89,7 +93,9 @@ class _Memo:
 
     ``steps`` maps a step's key to its ``(dims, cost)`` or, for an upward
     partial, its ``Transition``.  ``shared`` keeps one copy of each
-    frozenset and tuple that a stored key or result holds.
+    frozenset and tuple that a stored key or result holds.  ``get``, item
+    assignment and ``setdefault`` are the three dict operations the
+    engine's ``transition`` uses on a memo, so the walk hands it this one.
     """
 
     __slots__ = ("steps", "shared")
@@ -107,11 +113,18 @@ class _Memo:
             return x
         return self.shared.setdefault(x, x)
 
-    def store(self, key: tuple, value):
+    def get(self, key: tuple):
+        return self.steps.get(key)
+
+    def __setitem__(self, key: tuple, value) -> None:
         """Keep ``value``, whose dims the caller has shared, under ``key``
-        with the key's items shared; return ``value``."""
+        with the key's items shared."""
         self.steps[tuple(map(self.share, key))] = value
-        return value
+
+    def setdefault(self, x, default):
+        """The shared copy of ``x``, kept as ``default`` if there is none
+        yet; ``transition`` shares its result dims this way."""
+        return self.shared.setdefault(x, default)
 
 
 # Per Dag, then per weighting.  The weights key holds each weight's type:
@@ -131,36 +144,25 @@ def _memo(dag: Dag, w: OpCostWeights) -> _Memo:
     return memo
 
 
-class _MemoEngine(BnComputationCost):
-    """The engine's transition, with ``_step`` looked up in a memo.  The
-    search's own models keep no memo on themselves; this one is made per
-    walk."""
-
-    def __init__(self, dag: Dag, layers: LayerAssignment, weights: OpCostWeights, memo: _Memo):
-        super().__init__(dag, layers, weights)
-        self.memo = memo
-
-    def _step(self, zset, parts, summed) -> Transition:
-        key = ("up", zset, parts, summed)
-        memo = self.memo
-        t = memo.steps.get(key)
-        if t is None:
-            t = super()._step(zset, parts, summed)
-            t = memo.store(key, t._replace(dims=memo.share(t.dims)))
-        return t
-
-
 def _walk(
-    dag: Dag, layers: LayerAssignment, mapping: dict[int, int], weights: OpCostWeights, put
+    dag: Dag,
+    layers: LayerAssignment,
+    mapping: dict[int, int],
+    weights: OpCostWeights,
+    costs: list[float],
+    notes: list[tuple] | None = None,
 ) -> None:
-    """Cost the four passes over ``mapping`` in order, calling
-    ``put(phase, cluster, layer, cost, label, *args)`` once per step; the
-    step's label is ``label.format(*args)``."""
+    """Cost the four passes over ``mapping`` in order, appending each
+    step's cost to ``costs`` and, when ``notes`` is given, its
+    ``(phase, cluster, layer, label, *args)`` to ``notes``.  The step's
+    label is ``label.format(*args)``, with a posterior's node id resolved
+    to its name first."""
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     states, layer, scope = dag.states, layers.layer, dag.scope
     memo = _memo(dag, weights)
     steps = memo.steps
+    put = costs.append
 
     def product(parts, keep, nodes, kept):
         """``fold`` of ``parts`` and the tables of ``nodes`` cut to ``keep``,
@@ -171,7 +173,7 @@ def _walk(
             dims, cost = fold(parts, keep, [scope(x) for x in nodes], states, weights)
             if kept is not None:
                 dims, cost = marginalize_away(dims, kept, states, weights, cost)
-            hit = memo.store(key, (memo.share(dims), cost))
+            hit = memo[key] = (memo.share(dims), cost)
         return hit
 
     def sum_out(dims, kept):
@@ -180,7 +182,7 @@ def _walk(
         hit = steps.get(key)
         if hit is None:
             out, cost = marginalize_away(dims, kept, states, weights)
-            hit = memo.store(key, (memo.share(out), cost))
+            hit = memo[key] = (memo.share(out), cost)
         return hit
 
     clusters: dict[int, list[int]] = {}
@@ -215,12 +217,16 @@ def _walk(
         # joint, then give each link layer its own exported marginal.
         own = tuple(sorted(clusters[k], key=lambda x: (layer[x], x)))
         joint[k], cost = product((), None, own, None)
-        put("forward", k, cl_layers[k][-1], cost, "joint over cluster {}", k)
+        put(cost)
+        if notes is not None:
+            notes.append(("forward", k, cl_layers[k][-1], "joint over cluster {}", k))
         for l in cl_layers[k]:
             exported = link[k].intersection(members_at[(k, l)])
             if exported:
                 fwd[(k, l)], cost = sum_out(joint[k], frozenset(exported))
-                put("forward", k, l, cost, "export link dims at layer {}", l)
+                put(cost)
+                if notes is not None:
+                    notes.append(("forward", k, l, "export link dims at layer {}", l))
 
     for k, l in sorted(members_at, key=lambda kl: (-kl[1], kl[0])):
         if k in roots:
@@ -241,7 +247,9 @@ def _walk(
             tuple(sorted(z)),
             pending_parents.union(link[k], z),
         )
-        put("forward", k, l, cost, "partial for cluster {} layer {}", k, l)
+        put(cost)
+        if notes is not None:
+            notes.append(("forward", k, l, "partial for cluster {} layer {}", k, l))
 
     # ---- backward pass (needed results only) -------------------------------
     # A cluster-layer's upward partial is needed when one of its members has
@@ -252,15 +260,17 @@ def _walk(
         for x in dag.node_ids()
         if dag.parents(x) and mapping[x] not in roots
     }
-    engine = _MemoEngine(dag, layers, weights, memo)
+    engine = BnComputationCost(dag, layers, weights)
     entries: list[JEntry] = []
     bwd: dict[tuple[int, int], frozenset[int]] = {}
     for l in range(layers.l_max + 1):
         nodes = [x for x in layers.members.get(l, ()) if (mapping[x], l) in needed]
-        for e, cost in layer_transitions(engine, mapping, entries, l, nodes):
+        for e, cost in layer_transitions(engine, mapping, entries, l, nodes, memo):
             bwd[(e.cluster, l)] = e.dims
-            label = "upward partial for cluster {} layer {}"
-            put("backward", e.cluster, l, cost, label, e.cluster, l)
+            put(cost)
+            if notes is not None:
+                label = "upward partial for cluster {} layer {}"
+                notes.append(("backward", e.cluster, l, label, e.cluster, l))
 
     # ---- absorption into root clusters -------------------------------------
     root_dims: dict[int, frozenset[int]] = {}
@@ -273,7 +283,9 @@ def _walk(
         parts = [(bwd[cl], cl[1], cl[0]) for cl in ext]
         parts.append((joint[k], layer[min(clusters[k])], k))
         root_dims[k], cost = product(tuple(parts), frozenset(clusters[k]), (), None)
-        put("absorb", k, cl_layers[k][-1], cost, "fold upward results into cluster {}", k)
+        put(cost)
+        if notes is not None:
+            notes.append(("absorb", k, cl_layers[k][-1], "fold upward results into cluster {}", k))
 
     # ---- posteriors ---------------------------------------------------------
     for x in dag.node_ids():
@@ -291,4 +303,6 @@ def _walk(
                 _, cost = product(tuple(parts), dims, (), frozenset((x,)))
             else:
                 _, cost = sum_out(dims, frozenset((x,)))
-        put("posterior", k, l, cost, "posterior of {}", dag.name(x))
+        put(cost)
+        if notes is not None:
+            notes.append(("posterior", k, l, "posterior of {}", x))

@@ -69,12 +69,14 @@ def _walk(
             if i == len(order) or layers.of(order[i]) != layers.of(x):
                 done[i] = layers.of(x)
     entries: list[JEntry] = []
+    # The model's memo for this walk's transitions.
+    memo: dict = {}
 
     def rec(idx: int, u: dict[int, int], total: float) -> Iterator[tuple[dict[int, int], float]]:
         l = done.get(idx)
         if l is not None:
             mark = len(entries)
-            for _, cost in layer_transitions(model, u, entries, l, layers.members[l]):
+            for _, cost in layer_transitions(model, u, entries, l, layers.members[l], memo):
                 total += cost
         if idx == len(order):
             yield u, total

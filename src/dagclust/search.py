@@ -164,7 +164,8 @@ class ClusterSearch:
         self.emitted_mappings: set[tuple] = set()
         self._seq = itertools.count()
         self._last_improvement = 0
-        # The model's memo for completion estimates; lives for one run.
+        # The model's memo for transitions and completion estimates; lives
+        # for one run.
         self._estimates: dict | None = None
 
     # -- setup ----------------------------------------------------------------
@@ -361,7 +362,7 @@ class ClusterSearch:
         for holder, combo in holders:
             if not combo:
                 continue
-            t = self.model.transition(holder.u, holder.entries, k, l, combo)
+            t = self.model.transition(holder.u, holder.entries, k, l, combo, self._estimates)
             assert t.cost > TOL, "transition cost must be strictly positive"
             entry = JEntry(k, l, combo, t.dims)
             holder.entries.append(entry)

@@ -24,7 +24,8 @@ from dagclust.factors import (
     table_size,
 )
 from dagclust.generator import GeneratorSpec, generate_dag
-from dagclust.search import ClusterSearch
+from dagclust.oracle import enumerate_feasible, optimal_set
+from dagclust.search import ClusterSearch, search
 
 from conftest import name_mapping
 
@@ -250,6 +251,87 @@ def test_memoised_estimate_equals_reference():
                 assert not dag.parents(x)
                 assert model.heuristic(rest, [], {}, memo) == expect
     assert states > 1000
+
+
+class _MemoAudit:
+    """Cost model proxy that prices every transition and estimate handed a
+    memo again without one, and keeps each distinct memo it sees, by
+    identity."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.weights = inner.weights
+        self.memos: list[dict] = []
+        self.checked = 0
+
+    def _seen(self, memo):
+        if memo is not None and all(m is not memo for m in self.memos):
+            self.memos.append(memo)
+
+    def transition(self, u, entries, cluster, layer, zset, memo=None):
+        t = self.inner.transition(u, entries, cluster, layer, zset, memo)
+        if memo is not None:
+            plain = self.inner.transition(u, entries, cluster, layer, zset)
+            assert t.cost == plain.cost and t.dims == plain.dims
+            self.checked += 1
+        self._seen(memo)
+        return t
+
+    def heuristic(self, remaining, live, u=None, memo=None):
+        h = self.inner.heuristic(remaining, live, u, memo)
+        assert h == self.inner.heuristic(remaining, live, u)
+        self._seen(memo)
+        return h
+
+
+def _memo_steps(memo) -> int:
+    return sum(type(key) is tuple for key in memo)
+
+
+def test_memoised_transitions_equal_plain_ones(fig1):
+    """On the criterion-4 family, every transition priced through a memo
+    equals the plain one, ``==`` on cost and dims: in searches at alpha 0,
+    0.5 and 1, whose transitions and estimates share one memo per run (each
+    estimate equals the plain one too), and in the oracle's walks, one
+    memo per walk."""
+    from test_acceptance import _random_suite
+
+    priced = stored = 0
+    for dag in [fig1] + _random_suite():
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        audits = []
+        for alpha in (0.0, 0.5, 1.0):
+            audit = _MemoAudit(model)
+            search(dag, layers, audit, SearchConfig(alpha=alpha, seed=0))
+            assert len(audit.memos) == 1 and audit.checked > 0
+            audits.append(audit)
+        audit = _MemoAudit(model)
+        enumerate_feasible(dag, layers, audit)
+        optimal_set(dag, layers, audit)
+        assert len(audit.memos) == 2
+        audits.append(audit)
+        priced += sum(a.checked for a in audits)
+        stored += sum(_memo_steps(m) for a in audits for m in a.memos)
+    # The memos hit: far fewer steps were stored, estimates' included,
+    # than transitions were priced.
+    assert stored * 4 < priced
+
+
+def test_memo_repeats_are_hits(fig1, fig1_layers, fig1_model):
+    """A repeated transition returns the stored result, and equal result
+    dims are kept once."""
+    audit = _MemoAudit(fig1_model)
+    enumerate_feasible(fig1, fig1_layers, audit)
+    (memo,) = audit.memos
+    assert _memo_steps(memo) < audit.checked
+    u = {x: x for x in fig1.node_ids()}
+    first = list(layer_transitions(fig1_model, u, [], 0, fig1_layers.members[0], memo))
+    again = list(layer_transitions(fig1_model, u, [], 0, fig1_layers.members[0], memo))
+    assert first == again
+    assert all(a.dims is b.dims for (a, _), (b, _) in zip(first, again))
+    dims = [v.dims for v in memo.values() if type(v) is not frozenset]
+    assert all(memo[d] is d for d in dims)
 
 
 def test_completion_bound_covers_the_completion():

@@ -13,7 +13,7 @@ from dagclust import (
     parse_dag_text,
     search_space_size,
 )
-from dagclust.dag import founding_labels, format_dag_text, proposal_clusters
+from dagclust.dag import founding_labels, format_dag_text, keeps_contiguity, proposal_clusters
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import iter_feasible
 
@@ -210,6 +210,31 @@ def test_contiguity_check_accepts_exactly_the_feasible_set():
         assert set(feasible) == accepted
         rejected += len(raw) - len(accepted)
     assert rejected > 0  # the corpus exercises the rejecting branch
+
+
+def _per_cluster_contiguity(dag, u):
+    clusters = {}
+    for x, k in u.items():
+        clusters.setdefault(k, []).append(x)
+    return all(keeps_contiguity(dag, u, ms, k) for k, ms in clusters.items())
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(0, 10**6),
+    st.floats(0.0, 0.5),
+    st.lists(st.integers(1, 4), min_size=12, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_pass_contiguity_equals_per_cluster_walk(n, seed, extra, labels):
+    """The one-pass check agrees with a ``keeps_contiguity`` walk per
+    cluster, on every feasible mapping and on random total mappings."""
+    dag = generate_dag(GeneratorSpec(n=n, seed=seed, rewire=0.2, extra_arc_rate=extra))
+    layers = assign_layers(dag)
+    us = list(itertools.islice(iter_feasible(dag, layers), 200))
+    us += [dict(zip(dag.node_ids(), labels[i:] + labels[:i])) for i in range(n)]
+    verdicts = [check_contiguity(dag, u) for u in us]
+    assert verdicts == [_per_cluster_contiguity(dag, u) for u in us]
 
 
 def test_proposal_order_ascending_founding_label_last(fig1):

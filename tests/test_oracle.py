@@ -98,9 +98,9 @@ class _Counting:
         self.skew = skew
         self.calls = 0
 
-    def transition(self, u, entries, cluster, layer, zset):
+    def transition(self, u, entries, cluster, layer, zset, memo=None):
         self.calls += 1
-        t = self.inner.transition(u, entries, cluster, layer, zset)
+        t = self.inner.transition(u, entries, cluster, layer, zset, memo)
         return t._replace(cost=t.cost + 0.5 * len(u)) if self.skew else t
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -331,12 +332,12 @@ class _GatherLog:
         self.heuristic = inner.heuristic
         self.gathers = {}
 
-    def transition(self, u, entries, cluster, layer, zset):
+    def transition(self, u, entries, cluster, layer, zset, memo=None):
         kids = frozenset().union(*(self.dag.children(z) for z in zset))
         self.gathers[tuple(entries), zset] = {
             i for i, e in enumerate(entries) if not kids.isdisjoint(e.members)
         }
-        return self.inner.transition(u, entries, cluster, layer, zset)
+        return self.inner.transition(u, entries, cluster, layer, zset, memo)
 
 
 class _LiveAudit(ClusterSearch):
@@ -412,6 +413,36 @@ def test_estimate_memo_is_per_search():
         assert cli_main(["compare", fig1_path, "--seeds", "3", "--alphas", "0,0.5,1", "--jobs", jobs], out=buf) == 0
         rows.append(buf.getvalue())
     assert rows[0] == rows[1]
+
+
+def test_search_drops_its_memo_after_run():
+    """A run hands its transitions and estimates one memo, and once the run
+    ends nothing but the caller's own reference holds it: not the search,
+    not its model."""
+    dag = generate_dag(GeneratorSpec(n=12, seed=3))
+    layers = assign_layers(dag)
+    plain = BnComputationCost(dag, layers)
+    seen = []
+
+    class Recording:
+        weights = plain.weights
+
+        def transition(self, u, entries, cluster, layer, zset, memo=None):
+            seen.append(memo)
+            return plain.transition(u, entries, cluster, layer, zset, memo)
+
+        def heuristic(self, remaining, live, u=None, memo=None):
+            seen.append(memo)
+            return plain.heuristic(remaining, live, u, memo)
+
+    cs = ClusterSearch(dag, layers, Recording(), SearchConfig(seed=0))
+    cs.run()
+    assert len(set(map(id, seen))) == 1
+    memo = seen.pop()
+    assert memo
+    seen.clear()
+    gc.collect()
+    assert gc.get_referrers(memo) == []
 
 
 def test_heuristic_never_below_remaining_optimum(fig1, fig1_layers, fig1_model):
