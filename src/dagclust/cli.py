@@ -48,7 +48,7 @@ from .factors import (
 )
 from .generator import GeneratorSpec, degree_histogram, generate_dag
 from .inference import cluster_inference_schedule
-from .oracle import DEFAULT_CAP, enumerate_feasible, mapping_similarity, optimal_set
+from .oracle import DEFAULT_CAP, co_membership, enumerate_feasible, optimal_set, similarity
 from .search import ConfigError, SearchConfig, search
 
 EXIT_OK = 0
@@ -213,6 +213,8 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
         prune_enabled=not args.no_prune,
     )
     references = _read_references(dag, args.reference) if args.reference else None
+    # Co-membership matrices, built once for every row's similarity.
+    references = references and [co_membership(r) for r in references]
 
     if manifest is None:
         manifest = _manifest(
@@ -241,7 +243,7 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
                     "gmin": gmin,
                     "mapping": {dag.name(x): k for x, k in sorted(r.mapping.items())},
                     "optimal": r.optimal,
-                    **({"similarity": mapping_similarity(r.mapping, references)} if references else {}),
+                    **({"similarity": similarity(co_membership(r.mapping), references)} if references else {}),
                 }
                 for r, gmin in zip(result.solutions, incumbents)
             ],
@@ -264,7 +266,7 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
                 "1" if r.optimal else "0",
             ]
             if references is not None:
-                row.append(f"{mapping_similarity(r.mapping, references):.4f}")
+                row.append(f"{similarity(co_membership(r.mapping), references):.4f}")
             out.write("\t".join(row) + "\n")
         for key, val in report.items():
             if isinstance(val, float):
@@ -433,7 +435,7 @@ def cmd_compare(args, out) -> int:
     oracle_refs = None
     try:
         oracle_best, winners = optimal_set(dag, layers, model, cap=args.cap)
-        oracle_refs = [fm.u for fm in winners]
+        oracle_refs = [co_membership(fm.u) for fm in winners]
     except CapExceededError:
         pass
 
@@ -445,7 +447,7 @@ def cmd_compare(args, out) -> int:
         first_iter = res.solutions[0].iteration if res.solutions else None
         sim = None
         if oracle_refs and res.solutions:
-            sim = mapping_similarity(res.solutions[-1].mapping, oracle_refs)
+            sim = similarity(co_membership(res.solutions[-1].mapping), oracle_refs)
         return {
             "seed": cfg.seed,
             "alpha": cfg.alpha,

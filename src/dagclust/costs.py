@@ -27,7 +27,8 @@ from .factors import (
 )
 
 TOL = 1e-9
-# One shared empty set, so memo keys that sum nothing out do not each hold one.
+# One shared empty set: memo keys that sum nothing out then compare their
+# summed sets by identity.
 _EMPTY: frozenset[int] = frozenset()
 # Relative slack on the completion bound: the bound and the completion add
 # their terms in different orders, so their float sums may each be off by a
@@ -53,6 +54,43 @@ class Transition(NamedTuple):
     dims: frozenset[int]
 
 
+class StepMemo:
+    """Product steps memoised on their inputs, for the calls that share
+    one: a search run, an oracle walk, or one ``Dag``'s inference walks
+    under one weighting.
+
+    ``steps`` maps a step's key to its result.  ``shared`` keeps one copy
+    of each frozenset and tuple that a stored key or result holds, so
+    equal sets and ``(dims, layer, cluster)`` parts met at different steps
+    are stored once.
+    """
+
+    __slots__ = ("steps", "shared")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.shared: dict = {}
+
+    def share(self, x):
+        """The stored copy of ``x``, a frozenset, a tuple of shared items,
+        or anything else as it is.  Most items recur, so a stored copy is
+        looked up before a tuple's items are."""
+        kept = self.shared.get(x)
+        if kept is None:
+            if type(x) is tuple:
+                x = tuple(map(self.share, x))
+            elif type(x) is not frozenset:
+                return x
+            kept = self.shared[x] = x
+        return kept
+
+    def store(self, key: tuple, value):
+        """Keep ``value``, whose sets the caller has shared, under ``key``
+        with the key's items shared, and return it."""
+        self.steps[tuple(map(self.share, key))] = value
+        return value
+
+
 class CostModel(Protocol):
     """Contract the search engine drives.
 
@@ -70,9 +108,9 @@ class CostModel(Protocol):
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
     a costed parent yet.  Last, it passes ``transition`` and ``heuristic``
-    one dict that lives for one search run, as the oracle's walk passes
-    ``transition`` one dict per walk: the model may keep memoised work
-    there, never on itself.  A model may ignore the dict.
+    one ``StepMemo`` that lives for one search run, as the oracle's walk
+    passes ``transition`` one per walk: the model may keep memoised work
+    there, never on itself.  A model may ignore the memo.
     """
 
     weights: OpCostWeights
@@ -84,7 +122,7 @@ class CostModel(Protocol):
         cluster: int,
         layer: int,
         zset: frozenset[int],
-        memo: dict | None = None,
+        memo: StepMemo | None = None,
     ) -> Transition: ...
 
     def heuristic(
@@ -92,7 +130,7 @@ class CostModel(Protocol):
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
-        memo: dict | None = None,
+        memo: StepMemo | None = None,
     ) -> float: ...
 
 
@@ -143,10 +181,10 @@ class BnComputationCost:
         cluster: int,
         layer: int,
         zset: frozenset[int],
-        memo: dict | None = None,
+        memo: StepMemo | None = None,
     ) -> Transition:
         """``memo`` keeps the steps, keyed on their gathered inputs, across
-        the calls that share it; it is the dict ``heuristic`` takes."""
+        the calls that share it; it is the one ``heuristic`` takes."""
         if not zset:
             raise ValidationError("cluster-layer node set is empty")
         summed = self._summed(u, zset, cluster)
@@ -158,7 +196,12 @@ class BnComputationCost:
         parts = tuple((e.dims, e.layer, e.cluster) for e in held)
         if memo is None:
             return self._step(zset, parts, summed)
-        return self._memo_step(memo, zset, parts, summed)
+        key = (zset, parts, summed)
+        t = memo.steps.get(key)
+        if t is None:
+            t = self._step(zset, parts, summed)
+            t = memo.store(key, t._replace(dims=memo.share(t.dims)))
+        return t
 
     def _summed(self, u: dict[int, int], zset: frozenset[int], cluster: int) -> frozenset[int]:
         """The members of Z with no child outside the cluster.  Refuses a Z
@@ -193,23 +236,6 @@ class BnComputationCost:
         dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
         return Transition(cost=cost, dims=dims)
 
-    def _memo_step(
-        self,
-        memo: dict,
-        zset: frozenset[int],
-        parts: tuple[tuple[frozenset[int], int, int], ...],
-        summed: frozenset[int],
-    ) -> Transition:
-        """``_step``, looked up in ``memo`` by its inputs.  Equal result dims
-        recur across steps, so the memo also keeps one copy of each, keyed
-        by itself (step keys are tuples)."""
-        key = (zset, parts, summed)
-        t = memo.get(key)
-        if t is None:
-            t = self._step(zset, parts, summed)
-            t = memo[key] = t._replace(dims=memo.setdefault(t.dims, t.dims))
-        return t
-
     # -- heuristic ----------------------------------------------------------
 
     def heuristic(
@@ -217,7 +243,7 @@ class BnComputationCost:
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
-        memo: dict | None = None,
+        memo: StepMemo | None = None,
     ) -> float:
         """Completion estimate for the unassigned nodes.
 
@@ -254,10 +280,11 @@ class BnComputationCost:
         On any other input the completion runs, and refuses what it
         refuses.
 
-        ``memo`` keeps the completion's steps, keyed on their gathered
-        inputs as ``transition``'s are, across the calls of one search: a
-        singleton step and a transition of the same inputs share one entry.
-        Without it each call starts from an empty one.
+        ``memo`` is the ``StepMemo`` that ``transition`` takes, kept across
+        the calls of one search: the completion prices its steps through
+        ``transition``, so a singleton step and a transition of the same
+        inputs share one entry.  Without one each call starts from a fresh
+        one.
         """
         remaining = list(remaining)
         u = u or {}
@@ -267,10 +294,9 @@ class BnComputationCost:
             and self._bound_holds(remaining, live, u)
         ):
             return sweep
-        return max(
-            sweep,
-            self._singleton_completion(remaining, live, u, {} if memo is None else memo),
-        )
+        if memo is None:
+            memo = StepMemo()
+        return max(sweep, self._singleton_completion(remaining, live, u, memo))
 
     def _completion_bound(self, remaining: list[int], live: Sequence[JEntry]) -> float:
         """Upper bound on the singleton completion of an input that
@@ -314,30 +340,21 @@ class BnComputationCost:
         return cost
 
     def _singleton_completion(
-        self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int], memo: dict
+        self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int], memo: StepMemo
     ) -> float:
-        """Cost each remaining node as its own cluster-layer, lowest layer
-        first, as ``transition`` would."""
-        dag, labels = self.dag, self._labels
-        # The records holding each node, as (layer, cluster, position, part):
-        # sorting a gather by that is transition's stable (layer, cluster) sort.
-        holding: dict[int, list] = {}
-        for pos, e in enumerate(live):
-            rec = (e.layer, e.cluster, pos, (e.dims, e.layer, e.cluster))
-            for x in e.members:
-                holding.setdefault(x, []).append(rec)
-        pos = len(live)
+        """Cost each remaining node as its own cluster-layer, under its
+        founding label, lowest layer first."""
+        labels, layer = self._labels, self.layers.of
         u2 = dict(u)
+        by_layer: dict[int, list[int]] = {}
+        for z in remaining:
+            u2[z] = labels[z]
+            by_layer.setdefault(layer(z), []).append(z)
+        entries = list(live)
         cost = 0.0
-        for z in sorted(remaining, key=labels.__getitem__):
-            k, l, zset = labels[z], self.layers.of(z), frozenset((z,))
-            summed = self._summed(u2, zset, k)
-            held = sorted({r for c in dag.children(z) for r in holding.get(c, ())})
-            t = self._memo_step(memo, zset, tuple(r[3] for r in held), summed)
-            holding.setdefault(z, []).append((l, k, pos, (t.dims, l, k)))
-            pos += 1
-            u2[z] = k
-            cost += t.cost
+        for l in sorted(by_layer):
+            for _, c in layer_transitions(self, u2, entries, l, by_layer[l], memo):
+                cost += c
         return cost
 
 
@@ -378,7 +395,7 @@ def layer_transitions(
     entries: list[JEntry],
     layer: int,
     nodes: Iterable[int],
-    memo: dict | None = None,
+    memo: StepMemo | None = None,
 ) -> Iterator[tuple[JEntry, float]]:
     """Cost the cluster-layers that ``mapping`` makes of one layer's
     ``nodes``, in ascending cluster order, appending each record to

@@ -16,22 +16,13 @@ Only operation costs are produced; no probability values are touched.
 ``cluster_inference_schedule`` and ``cluster_inference_cost`` run one walk
 of the four passes; the cost path keeps only the step costs.
 
-Each ``Dag`` has one memo of product steps, held weakly and so released
-with the ``Dag``, with one sub-memo per weighting.  Every step of the walk
-is looked up there before it is costed: a product (the root joint, a
-forward partial, an absorption, a posterior that folds in upward
-partials) is keyed on its parts as ``(dims, layer, cluster)``, its
-``keep`` set, the nodes whose tables it multiplies in and the set its
-sum-out keeps; a plain sum-out (a link export, any other posterior) on
-its table's dims and the set kept; an upward partial on the engine's
-``_step`` inputs, its members, gathered parts and summed set.  A fold and
-the sum-out that continues its running total are one entry, and every
-entry is costed from 0.0, so a hit returns the float a fresh walk would
-add up.  Validation runs before any lookup.  A miss stores its key and
-result with one shared copy of each frozenset and part in them.  There
-is no switch: both entry points always use the memo.  The upward pass
-hands the memo to ``layer_transitions`` as the search hands its run's
-dict, so the engine's own lookup keys and stores those steps.
+Each ``Dag`` has one ``StepMemo`` per weighting, held weakly and so
+released with the ``Dag``.  Every step is looked up there after
+validation: a product (a fold and the sum-out that continues it) on its
+parts, ``keep`` set, folded nodes and kept set; a plain sum-out on its
+dims and kept set; an upward partial, through ``layer_transitions``, on
+the engine's own ``_step`` key.  Each entry is costed from 0.0, so a hit
+returns the float a fresh walk would add up.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ import weakref
 from dataclasses import dataclass
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
-from .costs import BnComputationCost, JEntry, layer_transitions
+from .costs import BnComputationCost, JEntry, StepMemo, layer_transitions
 from .factors import DEFAULT_WEIGHTS, OpCostWeights, fold, marginalize_away
 
 
@@ -88,59 +79,20 @@ def cluster_inference_cost(
     return sum(costs)
 
 
-class _Memo:
-    """One ``Dag``'s product steps under one weighting.
-
-    ``steps`` maps a step's key to its ``(dims, cost)`` or, for an upward
-    partial, its ``Transition``.  ``shared`` keeps one copy of each
-    frozenset and tuple that a stored key or result holds.  ``get``, item
-    assignment and ``setdefault`` are the three dict operations the
-    engine's ``transition`` uses on a memo, so the walk hands it this one.
-    """
-
-    __slots__ = ("steps", "shared")
-
-    def __init__(self):
-        self.steps: dict = {}
-        self.shared: dict = {}
-
-    def share(self, x):
-        """The stored copy of ``x``, a frozenset, a tuple of shared items,
-        or anything else as it is."""
-        if type(x) is tuple:
-            x = tuple(map(self.share, x))
-        elif type(x) is not frozenset:
-            return x
-        return self.shared.setdefault(x, x)
-
-    def get(self, key: tuple):
-        return self.steps.get(key)
-
-    def __setitem__(self, key: tuple, value) -> None:
-        """Keep ``value``, whose dims the caller has shared, under ``key``
-        with the key's items shared."""
-        self.steps[tuple(map(self.share, key))] = value
-
-    def setdefault(self, x, default):
-        """The shared copy of ``x``, kept as ``default`` if there is none
-        yet; ``transition`` shares its result dims this way."""
-        return self.shared.setdefault(x, default)
-
-
 # Per Dag, then per weighting.  The weights key holds each weight's type:
 # 3 == 3.0, but an int weight times a table size past 2**53 rounds once
 # where a float one rounds twice.
-_MEMOS: weakref.WeakKeyDictionary[Dag, dict[tuple, _Memo]] = weakref.WeakKeyDictionary()
+_MEMOS: weakref.WeakKeyDictionary[Dag, dict[tuple, StepMemo]] = weakref.WeakKeyDictionary()
 
 
-def _memo(dag: Dag, w: OpCostWeights) -> _Memo:
+def _memo(dag: Dag, w: OpCostWeights) -> StepMemo:
     per_dag = _MEMOS.get(dag)
     if per_dag is None:
         per_dag = _MEMOS[dag] = {}
     key = tuple((type(v), v) for v in (w.add, w.mul, w.div))
     memo = per_dag.get(key)
     if memo is None:
-        memo = per_dag[key] = _Memo()
+        memo = per_dag[key] = StepMemo()
     return memo
 
 
@@ -161,7 +113,7 @@ def _walk(
         raise ValidationError("mapping is not contiguous")
     states, layer, scope = dag.states, layers.layer, dag.scope
     memo = _memo(dag, weights)
-    steps = memo.steps
+    steps, share = memo.steps, memo.share
     put = costs.append
 
     def product(parts, keep, nodes, kept):
@@ -173,7 +125,7 @@ def _walk(
             dims, cost = fold(parts, keep, [scope(x) for x in nodes], states, weights)
             if kept is not None:
                 dims, cost = marginalize_away(dims, kept, states, weights, cost)
-            hit = memo[key] = (memo.share(dims), cost)
+            hit = memo.store(key, (share(dims), cost))
         return hit
 
     def sum_out(dims, kept):
@@ -182,7 +134,7 @@ def _walk(
         hit = steps.get(key)
         if hit is None:
             out, cost = marginalize_away(dims, kept, states, weights)
-            hit = memo[key] = (memo.share(out), cost)
+            hit = memo.store(key, (share(out), cost))
         return hit
 
     clusters: dict[int, list[int]] = {}

@@ -32,7 +32,7 @@ from .dag import (
     proposal_clusters,
     search_space_size,
 )
-from .costs import TOL, CostModel, JEntry, evaluate_mapping, layer_transitions
+from .costs import TOL, CostModel, JEntry, StepMemo, evaluate_mapping, layer_transitions
 from .search import partition_signature
 
 DEFAULT_CAP = 10**7
@@ -70,7 +70,7 @@ def _walk(
                 done[i] = layers.of(x)
     entries: list[JEntry] = []
     # The model's memo for this walk's transitions.
-    memo: dict = {}
+    memo = StepMemo()
 
     def rec(idx: int, u: dict[int, int], total: float) -> Iterator[tuple[dict[int, int], float]]:
         l = done.get(idx)
@@ -196,9 +196,3 @@ def similarity(
         ones = sum(sum(row) for row in ref)
         best = max(best, dot / ones)
     return best
-
-
-def mapping_similarity(
-    mapping: dict[int, int], references: list[dict[int, int]]
-) -> float:
-    return similarity(co_membership(mapping), [co_membership(r) for r in references])

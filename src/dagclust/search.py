@@ -25,7 +25,7 @@ from .dag import (
     keeps_contiguity,
     proposal_clusters,
 )
-from .costs import TOL, CostModel, JEntry
+from .costs import TOL, CostModel, JEntry, StepMemo
 
 
 class ConfigError(ValueError):
@@ -166,13 +166,13 @@ class ClusterSearch:
         self._last_improvement = 0
         # The model's memo for transitions and completion estimates; lives
         # for one run.
-        self._estimates: dict | None = None
+        self._memo: StepMemo | None = None
 
     # -- setup ----------------------------------------------------------------
 
     def _init(self) -> None:
-        self._estimates = {}
-        h_all = self.model.heuristic(self.dag.node_ids(), [], None, self._estimates)
+        self._memo = StepMemo()
+        h_all = self.model.heuristic(self.dag.node_ids(), [], None, self._memo)
         self.gmin = h_all
         self.branches_created = 1
         b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
@@ -260,7 +260,7 @@ class ClusterSearch:
         if not parents:
             return
         ghat_val = br.cum_g() + self.model.heuristic(
-            self._unassigned(br), br.live, br.u, self._estimates
+            self._unassigned(br), br.live, br.u, self._memo
         )
         for p in parents:
             l = self.layers.of(p)
@@ -307,7 +307,7 @@ class ClusterSearch:
                 solutions.append(rec)
                 if on_solution is not None:
                     on_solution(rec)
-        self._estimates = None
+        self._memo = None
         gmin_final = min((r.total_cost for r in solutions), default=float("inf"))
         first_optimal = None
         optimal_partitions = set()
@@ -362,7 +362,7 @@ class ClusterSearch:
         for holder, combo in holders:
             if not combo:
                 continue
-            t = self.model.transition(holder.u, holder.entries, k, l, combo, self._estimates)
+            t = self.model.transition(holder.u, holder.entries, k, l, combo, self._memo)
             assert t.cost > TOL, "transition cost must be strictly positive"
             entry = JEntry(k, l, combo, t.dims)
             holder.entries.append(entry)

@@ -11,7 +11,7 @@ from dagclust import (
     parse_dag_text,
     seven_node_example,
 )
-from dagclust.costs import _MARGIN, layer_transitions
+from dagclust.costs import _MARGIN, StepMemo, layer_transitions
 from dagclust.dag import founding_labels
 from dagclust.factors import (
     Marginalize,
@@ -27,7 +27,7 @@ from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import ClusterSearch, search
 
-from conftest import name_mapping
+from conftest import assert_stored_once, name_mapping, random_test_dag
 
 
 def test_first_pop_transition(fig1, fig1_layers, fig1_model):
@@ -229,7 +229,7 @@ def test_memoised_estimate_equals_reference():
         cs = _StateLog(dag, layers, model, cfg)
         cs.log = [(list(dag.node_ids()), [], {})]
         cs.run()
-        memo = {}
+        memo = StepMemo()
         for remaining, live, u in cs.log:
             expect = _plain_heuristic(model, remaining, live, u)
             assert model.heuristic(remaining, live, u, memo) == expect
@@ -285,7 +285,7 @@ class _MemoAudit:
 
 
 def _memo_steps(memo) -> int:
-    return sum(type(key) is tuple for key in memo)
+    return len(memo.steps)
 
 
 def test_memoised_transitions_equal_plain_ones(fig1):
@@ -330,8 +330,22 @@ def test_memo_repeats_are_hits(fig1, fig1_layers, fig1_model):
     again = list(layer_transitions(fig1_model, u, [], 0, fig1_layers.members[0], memo))
     assert first == again
     assert all(a.dims is b.dims for (a, _), (b, _) in zip(first, again))
-    dims = [v.dims for v in memo.values() if type(v) is not frozenset]
-    assert all(memo[d] is d for d in dims)
+    dims = [v.dims for v in memo.steps.values()]
+    assert all(memo.shared[d] is d for d in dims)
+
+
+def test_run_and_walk_memos_store_each_set_once(fig1):
+    """A search's run memo and an oracle walk's memo hold one object per
+    distinct frozenset and per ``(dims, layer, cluster)`` part, keys
+    included, as the inference memo does."""
+    for dag in [fig1] + [random_test_dag(seed) for seed in (3, 8, 21)]:
+        layers = assign_layers(dag)
+        audit = _MemoAudit(BnComputationCost(dag, layers))
+        search(dag, layers, audit, SearchConfig(alpha=0.5, seed=0))
+        enumerate_feasible(dag, layers, audit)
+        run, walk = audit.memos
+        assert_stored_once(run)
+        assert_stored_once(walk)
 
 
 def test_completion_bound_covers_the_completion():
@@ -351,7 +365,7 @@ def test_completion_bound_covers_the_completion():
         for remaining, live, u in cs.log:
             model.heuristic(remaining, live, u)
             assert model._bound_holds(remaining, live, u)
-            assert model._completion_bound(remaining, live) >= completion(remaining, live, u, {})
+            assert model._completion_bound(remaining, live) >= completion(remaining, live, u, StepMemo())
         if dag.n == 50:
             assert len(cs.log) > 100
             assert runs == []

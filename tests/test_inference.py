@@ -27,7 +27,7 @@ from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.inference import cluster_inference_schedule
 from dagclust.oracle import iter_feasible
 
-from conftest import name_mapping
+from conftest import assert_stored_once, name_mapping
 from test_golden import _feasible, _inference_graphs
 
 WORKED = {"A": 1, "F": 1, "D": 2, "G": 2, "E": 3, "B": 6, "C": 7}
@@ -298,23 +298,7 @@ def test_memo_lifetime_and_footprint(fig1):
     cluster_inference_schedule(dag, layers, us[0])
     assert (len(memo.steps), len(memo.shared)) == size
 
-    # One stored object per distinct frozenset and per (dims, layer, cluster) part.
-    ids: dict = {}
-
-    def visit(x):
-        if type(x) is frozenset:
-            ids.setdefault(x, set()).add(id(x))
-        elif isinstance(x, tuple):
-            if list(map(type, x)) == [frozenset, int, int]:
-                ids.setdefault(x, set()).add(id(x))
-            for y in x:
-                visit(y)
-
-    for key, value in memo.steps.items():
-        visit(key)
-        visit(value)
-    assert any(type(x) is tuple for x in ids) and any(type(x) is frozenset for x in ids)
-    assert all(len(same) == 1 for same in ids.values())
+    assert_stored_once(memo)
 
     # The memo holds its Dag weakly and goes with it.
     gc.collect()

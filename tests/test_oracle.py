@@ -16,7 +16,7 @@ from dagclust import (
     similarity,
 )
 from dagclust.generator import GeneratorSpec, generate_dag
-from dagclust.oracle import co_membership, iter_feasible, mapping_similarity
+from dagclust.oracle import co_membership, iter_feasible
 from dagclust.search import partition_signature
 
 from conftest import name_mapping, random_test_dag
@@ -171,7 +171,7 @@ def test_similarity_singletons_closed_form(fig1):
     singles = {i: i for i in fig1.node_ids()}
     ref = name_mapping(fig1, {"A": 2, "B": 6, "C": 7, "D": 2, "E": 3, "F": 1, "G": 2})
     ones = sum(sum(row) for row in co_membership(ref))
-    got = mapping_similarity(singles, [ref])
+    got = similarity(co_membership(singles), [co_membership(ref)])
     assert got == pytest.approx(n / ones)
 
 
@@ -183,8 +183,9 @@ def test_similarity_label_invariance():
         perm = {k: 100 + k * 7 for k in set(u.values())}
         v = {i: perm[k] for i, k in u.items()}
         refs = [{i: rng.randint(1, n) for i in range(1, n + 1)} for _ in range(3)]
-        assert mapping_similarity(u, refs) == pytest.approx(
-            mapping_similarity(v, refs)
+        refs = [co_membership(r) for r in refs]
+        assert similarity(co_membership(u), refs) == pytest.approx(
+            similarity(co_membership(v), refs)
         )
 
 

@@ -397,7 +397,7 @@ def test_estimate_memo_is_per_search():
     for _ in range(2):
         cs = ClusterSearch(dag, layers, model, SearchConfig(seed=0, max_iterations=150))
         runs.append(cs.run())
-        assert cs._estimates is None
+        assert cs._memo is None
     a, b = runs
     assert a.solutions
     assert a.report == b.report
@@ -439,7 +439,7 @@ def test_search_drops_its_memo_after_run():
     cs.run()
     assert len(set(map(id, seen))) == 1
     memo = seen.pop()
-    assert memo
+    assert memo.steps
     seen.clear()
     gc.collect()
     assert gc.get_referrers(memo) == []
