@@ -40,12 +40,7 @@ from .dag import (
     search_space_size,
 )
 from .costs import TOL, BnComputationCost
-from .factors import (
-    OpCostWeights,
-    bucket_elimination_cost,
-    eval_schedule,
-    jointree_fixture_schedule,
-)
+from .factors import OpCostWeights, bucket_elimination_cost, jointree_fixture_cost
 from .generator import GeneratorSpec, degree_histogram, generate_dag
 from .inference import cluster_inference_schedule
 from .oracle import DEFAULT_CAP, co_membership, enumerate_feasible, optimal_set, similarity
@@ -357,7 +352,7 @@ def cmd_infer_cost(args, out) -> int:
             order = [dag.id_of(n.strip()) for n in args.order.split(",")]
         total, rows = bucket_elimination_cost(dag, layers, target, order, weights)
     else:
-        total, rows = eval_schedule(jointree_fixture_schedule(dag), dag.states, weights)
+        total, rows = jointree_fixture_cost(dag, weights)
     if args.format == "json":
         json.dump(
             {

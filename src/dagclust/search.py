@@ -20,7 +20,6 @@ from typing import Callable, Iterator
 from .dag import (
     Dag,
     LayerAssignment,
-    check_contiguity,
     founding_labels,
     keeps_contiguity,
     proposal_clusters,
@@ -152,26 +151,24 @@ class ClusterSearch:
         self._from_layer = [
             [x for x in dag.node_ids() if layers.layer[x] >= p] for p in range(layers.l_max + 2)
         ]
-        self.rng = random.Random(self.config.seed)
-        # Live branches; a killed or finished one leaves at once.
-        self.branches: dict[int, _Branch] = {}
-        self.branches_created = 0
-        self._ready: list[tuple[float, int, int, tuple[int, int]]] = []
-        self._waiting_ghat: list[tuple[float, int, int]] = []
-        self._waiting_layer: list[tuple[int, int, int]] = []
-        self.gmin = float("inf")
-        self.iteration = 0
-        self.emitted_mappings: set[tuple] = set()
-        self._seq = itertools.count()
-        self._last_improvement = 0
-        # The model's memo for transitions and completion estimates; lives
-        # for one run.
-        self._memo: StepMemo | None = None
 
     # -- setup ----------------------------------------------------------------
 
     def _init(self) -> None:
-        self._memo = StepMemo()
+        """Build every per-run field, so each run starts afresh."""
+        self.rng = random.Random(self.config.seed)
+        # The branches that can still pop or be activated: a killed or
+        # finished one, or one with no proposal left, leaves at once.
+        self.branches: dict[int, _Branch] = {}
+        self._ready: list[tuple[float, int, int, tuple[int, int]]] = []
+        self._waiting_ghat: list[tuple[float, int, int]] = []
+        self._waiting_layer: list[tuple[int, int, int]] = []
+        self.iteration = 0
+        self._seq = itertools.count()
+        self._last_improvement = 0
+        # The model's memo for transitions and completion estimates; lives
+        # for one run.
+        self._memo: StepMemo | None = StepMemo()
         h_all = self.model.heuristic(self.dag.node_ids(), [], None, self._memo)
         self.gmin = h_all
         self.branches_created = 1
@@ -347,6 +344,7 @@ class ClusterSearch:
         # every path that could leave cluster k and come back.
         combos = [c for c in combos if keeps_contiguity(dag, br.u, c, k)]
         if not combos:
+            self._settle(br)
             return []
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
@@ -380,23 +378,26 @@ class ClusterSearch:
                 if l == layers.l_max:
                     emissions.append(self._emit(holder))
             self._propose_parents(holder, combo)
-        for nb, _ in holders[1:]:
-            if not nb.active and nb.pending and nb.id in self.branches:
-                self._index_waiting(nb)
+        for holder, _ in holders:
+            self._settle(holder)
         return emissions
+
+    def _settle(self, br: _Branch) -> None:
+        """End a pop for a branch it holds.  Only a branch's own pop adds to
+        its proposals, so a finished branch, or one with none left, can never
+        pop or be activated again and leaves the table; an inactive one with
+        proposals is indexed."""
+        if br.progress > self.layers.l_max or not br.pending:
+            del self.branches[br.id]
+        elif not br.active:
+            self._index_waiting(br)
 
     def _emit(self, br: _Branch) -> SolutionRecord:
         mapping = dict(br.u)
         total = br.cum_g()
-        key = tuple(sorted(mapping.items()))
-        assert key not in self.emitted_mappings, "duplicate mapping across branches"
-        self.emitted_mappings.add(key)
-        assert check_contiguity(self.dag, mapping)
         if total < self.gmin - TOL:
             self.gmin = total
             self._last_improvement = self.iteration
-        # A finished branch has nothing left to pop.
-        del self.branches[br.id]
         return SolutionRecord(
             mapping=mapping,
             total_cost=total,

@@ -109,10 +109,29 @@ def test_engine_enumeration_mode(fig1, fig1_layers, fig1_model):
     assert mappings == expect
 
 
-def test_emitted_mappings_contiguous(fig1, fig1_layers, fig1_model):
-    res = search(fig1, fig1_layers, fig1_model, SearchConfig(seed=5))
-    for s in res.solutions:
-        assert check_contiguity(fig1, s.mapping)
+@pytest.mark.parametrize(
+    "graphs,alpha,seed",
+    [
+        pytest.param(lambda: [seven_node_example()], 0.5, 5, id="fig1"),
+        *(
+            pytest.param(
+                lambda: [random_test_dag(1000 + gi, n=3 + gi % 8) for gi in range(50)], alpha, 0,
+                id=f"criterion4-alpha{alpha}",
+            )
+            for alpha in (0.0, 0.5, 1.0)
+        ),
+        pytest.param(lambda: [generate_dag(GeneratorSpec(n=16, seed=1))], 0.5, 0, id="n16"),
+    ],
+)
+def test_emitted_mappings_contiguous(graphs, alpha, seed):
+    """Every emitted mapping is contiguous, and no two are equal.  The
+    engine keeps no per-solution state, so these checks live here."""
+    for dag in graphs():
+        layers = assign_layers(dag)
+        res = search(dag, layers, BnComputationCost(dag, layers), SearchConfig(alpha=alpha, seed=seed))
+        mappings = [tuple(sorted(s.mapping.items())) for s in res.solutions]
+        assert len(set(mappings)) == len(mappings)
+        assert all(check_contiguity(dag, s.mapping) for s in res.solutions)
 
 
 def test_same_seed_same_stream(fig1, fig1_layers, fig1_model):
@@ -121,6 +140,18 @@ def test_same_seed_same_stream(fig1, fig1_layers, fig1_model):
     assert [(s.iteration, s.total_cost, s.branch) for s in a.solutions] == [
         (s.iteration, s.total_cost, s.branch) for s in b.solutions
     ]
+
+
+def test_second_run_repeats_the_first(fig1, fig1_layers, fig1_model):
+    """A run builds its own state, so running one instance twice gives one
+    stream and one report."""
+    cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig(alpha=0.5, seed=3))
+    a, b = cs.run(), cs.run()
+    assert a.solutions
+    assert [(s.iteration, s.branch, s.total_cost, s.mapping) for s in a.solutions] == [
+        (s.iteration, s.branch, s.total_cost, s.mapping) for s in b.solutions
+    ]
+    assert a.report == b.report
 
 
 def test_stream_matches_batch(fig1, fig1_layers, fig1_model):
@@ -302,6 +333,9 @@ class _Instrumented(ClusterSearch):
             self.popped_dead += 1
         out = super()._process_pop(br, entry)
         self.gmin_trace.append(self.gmin)
+        # Only a branch's own pop adds proposals, so one with none left is
+        # dropped when its pop ends.
+        assert all(b.pending for b in self.branches.values())
         return out
 
 
@@ -519,7 +553,7 @@ def _differential_graphs():
 def test_index_picks_what_a_full_scan_picks(alpha):
     """Every pop and activation of a run is the one the brute-force scan over
     all pending proposals would choose, and at termination no index holds a
-    valid top and no dead or finished branch is kept."""
+    valid top and no dead, finished or spent branch is kept."""
     pops = activations = 0
     for dag in _differential_graphs():
         layers = assign_layers(dag)
@@ -531,8 +565,9 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert ClusterSearch._take_ready(cs) is None
         assert cs._waiting_top(cs._waiting_ghat) is None
         assert cs._waiting_top(cs._waiting_layer) is None
-        # Killed and finished branches leave at once.
-        assert all(b.alive and len(b.u) < dag.n for b in cs.branches.values())
+        # Killed and finished branches, and those with no proposal left,
+        # leave at once.
+        assert all(b.alive and b.pending and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
 
 
