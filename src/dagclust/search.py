@@ -158,7 +158,8 @@ class ClusterSearch:
         """Build every per-run field, so each run starts afresh."""
         self.rng = random.Random(self.config.seed)
         # The branches that can still pop or be activated: a killed or
-        # finished one, or one with no proposal left, leaves at once.
+        # finished one, or one with no proposal it can still pop, leaves at
+        # once.
         self.branches: dict[int, _Branch] = {}
         self._ready: list[tuple[float, int, int, tuple[int, int]]] = []
         self._waiting_ghat: list[tuple[float, int, int]] = []
@@ -293,6 +294,7 @@ class ClusterSearch:
                     break
                 self.iteration += 1
                 self._activate(pick)
+                self._settle(pick)
                 continue
             self.iteration += 1
             br, key = taken
@@ -383,14 +385,20 @@ class ClusterSearch:
         return emissions
 
     def _settle(self, br: _Branch) -> None:
-        """End a pop for a branch it holds.  Only a branch's own pop adds to
-        its proposals, so a finished branch, or one with none left, can never
-        pop or be activated again and leaves the table; an inactive one with
+        """End a pop or an activation for a branch it holds.  Only a
+        branch's own pop adds to its proposals or moves its progress, so a
+        finished branch, an active one with no proposal at or below its
+        progress, or an inactive one with none at all can never pop or be
+        activated again and leaves the table; an inactive one with
         proposals is indexed."""
-        if br.progress > self.layers.l_max or not br.pending:
-            del self.branches[br.id]
-        elif not br.active:
+        if br.active:
+            p = br.progress
+            if p > self.layers.l_max or not any(l <= p for _, l in br.pending):
+                del self.branches[br.id]
+        elif br.pending:
             self._index_waiting(br)
+        else:
+            del self.branches[br.id]
 
     def _emit(self, br: _Branch) -> SolutionRecord:
         mapping = dict(br.u)

@@ -333,9 +333,16 @@ class _Instrumented(ClusterSearch):
             self.popped_dead += 1
         out = super()._process_pop(br, entry)
         self.gmin_trace.append(self.gmin)
-        # Only a branch's own pop adds proposals, so one with none left is
-        # dropped when its pop ends.
+        # Only a branch's own pop adds proposals or moves its progress, so
+        # one that can never pop again is dropped when its pop ends: an
+        # inactive one with no proposal, an active one with none at or
+        # below its progress.
         assert all(b.pending for b in self.branches.values())
+        assert all(
+            any(l <= b.progress for _, l in b.pending)
+            for b in self.branches.values()
+            if b.active
+        )
         return out
 
 
@@ -353,6 +360,21 @@ def test_run_invariants(fig1, fig1_layers, fig1_model, alpha, seed):
             assert key not in live_u or not b.alive
             live_u[key] = b.id
     assert res.report.iterations_total > 0
+
+
+def test_no_branch_outlives_a_run_to_termination():
+    """A run that ends because nothing can pop leaves no branch behind."""
+    graphs = [seven_node_example()] + [
+        generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
+        for gi in range(20)
+    ]
+    for dag in graphs:
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        for alpha in (0.0, 0.5, 1.0):
+            cs = _Instrumented(dag, layers, model, SearchConfig(alpha=alpha, seed=0))
+            assert not cs.run().report.terminated_early
+            assert cs.branches == {}
 
 
 class _GatherLog:
