@@ -16,7 +16,7 @@ from .dag import (
     seven_node_example,
 )
 from .factors import OpCostWeights, eval_schedule
-from .costs import BnComputationCost, JEntry, evaluate_mapping, ghat
+from .costs import BnComputationCost, JEntry, evaluate_mapping
 from .inference import cluster_inference_cost
 from .generator import GeneratorSpec, generate_dag
 from .search import SearchConfig, SolutionRecord, partition_signature, search, stream_search
@@ -39,7 +39,6 @@ __all__ = [
     "BnComputationCost",
     "JEntry",
     "evaluate_mapping",
-    "ghat",
     "cluster_inference_cost",
     "GeneratorSpec",
     "generate_dag",

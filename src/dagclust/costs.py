@@ -30,10 +30,6 @@ TOL = 1e-9
 # One shared empty set: memo keys that sum nothing out then compare their
 # summed sets by identity.
 _EMPTY: frozenset[int] = frozenset()
-# Relative slack on the completion bound: the bound and the completion add
-# their terms in different orders, so their float sums may each be off by a
-# few ulps.
-_MARGIN = 1 + 1e-9
 
 
 class JEntry(NamedTuple):
@@ -56,8 +52,8 @@ class Transition(NamedTuple):
 
 class StepMemo:
     """Product steps memoised on their inputs, for the calls that share
-    one: a search run, an oracle walk, or one ``Dag``'s inference walks
-    under one weighting.
+    one: a search run's transitions, an oracle walk's, or one ``Dag``'s
+    inference walks under one weighting.
 
     ``steps`` maps a step's key to its result.  ``shared`` keeps one copy
     of each frozenset and tuple that a stored key or result holds, so
@@ -95,10 +91,10 @@ class CostModel(Protocol):
     """Contract the search engine drives.
 
     Implementations must return strictly positive transition costs and a
-    non-negative heuristic; any such heuristic preserves optimality and only
-    affects search order.  The heuristic must however upper-bound the true
-    completion cost whenever it seeds the incumbent bound, so implementations
-    should anchor it to a concrete feasible completion.
+    non-negative heuristic.  The root estimate (every node remaining, no
+    live record) seeds the incumbent bound, so it must be at least the cost
+    of some feasible mapping, or the search may prune every branch; any
+    other estimate only affects search order.
 
     ``transition`` returns the cost and the dimensions of the new record.
     The mapping it gets assigns every node below the costed nodes; whether
@@ -107,10 +103,10 @@ class CostModel(Protocol):
     walk, a whole mapping in ``evaluate_mapping``), and the result must not
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
-    a costed parent yet.  Last, it passes ``transition`` and ``heuristic``
-    one ``StepMemo`` that lives for one search run, as the oracle's walk
-    passes ``transition`` one per walk: the model may keep memoised work
-    there, never on itself.  A model may ignore the memo.
+    a costed parent yet.  Last, it passes ``transition`` one ``StepMemo``
+    that lives for one search run, as the oracle's walk passes one per
+    walk: the model may keep memoised work there, never on itself.  A
+    model may ignore the memo.
     """
 
     weights: OpCostWeights
@@ -130,7 +126,6 @@ class CostModel(Protocol):
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
-        memo: StepMemo | None = None,
     ) -> float: ...
 
 
@@ -147,7 +142,7 @@ class BnComputationCost:
 
     @cached_property
     def _labels(self) -> dict[int, int]:
-        """Rank in (layer, node id) order, the singleton completion's."""
+        """Founding labels: rank in (layer, node id) order."""
         return founding_labels(self.dag, self.layers)
 
     @cached_property
@@ -159,18 +154,6 @@ class BnComputationCost:
             key=lambda x: (self.layers.of(x), table_size(dag.scope(x), dag.states), x),
         )
         return {x: r for r, x in enumerate(order)}
-
-    @cached_property
-    def _bound_terms(self) -> dict[int, float]:
-        """Per node x, the most its singleton step and every cut of its
-        record can cost: ``|children(x)| + 1`` multiplies, a sum-out and
-        ``|parents(x)|`` cuts, each at most the size of x's table."""
-        dag, w = self.dag, self.weights
-        return {
-            x: (w.mul * (len(dag.children(x)) + 1) + w.add * (1 + len(dag.parents(x))))
-            * table_size(dag.scope(x), dag.states)
-            for x in dag.node_ids()
-        }
 
     # -- transition ---------------------------------------------------------
 
@@ -184,7 +167,7 @@ class BnComputationCost:
         memo: StepMemo | None = None,
     ) -> Transition:
         """``memo`` keeps the steps, keyed on their gathered inputs, across
-        the calls that share it; it is the one ``heuristic`` takes."""
+        the calls that share it."""
         if not zset:
             raise ValidationError("cluster-layer node set is empty")
         summed = self._summed(u, zset, cluster)
@@ -243,85 +226,32 @@ class BnComputationCost:
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
-        memo: StepMemo | None = None,
     ) -> float:
-        """Completion estimate for the unassigned nodes.
-
-        Two naive completions are costed and the dearer one returned: a
-        single backward elimination sweep that folds the live partials into
-        one chain and sums each remaining node straight out, and a
-        one-cluster-per-node completion driven through the transition
-        machinery.  At the root (every node remaining, no records) the
-        latter is the total of the founding-label mapping, a concrete
-        feasible mapping, so the estimate there bounds the optimum from
-        above and can seed the incumbent.  Away from the root it folds only
-        the live records, not every record a singleton would gather, so it
-        can fall below the cost of completing the branch with singletons.
-
-        The sweep is priced first, then a cheap upper bound on the
-        completion.  With S(x) the size of x's table, the bound adds
-        ``(mul*(|children(x)|+1) + add*(1+|parents(x)|)) * S(x)`` for each
-        remaining x and ``add * g * size(e.dims)`` for each live record e,
-        g being the number of distinct parents of e's members.  The
-        singleton step of z gathers at most one record per child and works
-        inside scope(z): each of its multiplies costs at most mul*S(z), its
-        sum-out removes at most z, and cutting a gathered part D down to
-        scope(z) costs add*(|D| - |D & scope(z)|) (the per-node charges
-        telescope), at most add*|D|.  The record that z's step makes holds
-        at most S(z) cells and is cut once by each parent of z; a live
-        record is cut once by each parent of its members.  When the bound,
-        scaled by a relative margin against float noise, is still below
-        the sweep, the completion cannot decide the estimate and is not
-        run.
-
-        The bound assumes the search's own input: the remaining nodes are
-        distinct and unassigned, each child of a remaining node is
-        remaining or assigned in ``u``, and no node lies in two records.
-        On any other input the completion runs, and refuses what it
-        refuses.
-
-        ``memo`` is the ``StepMemo`` that ``transition`` takes, kept across
-        the calls of one search: the completion prices its steps through
-        ``transition``, so a singleton step and a transition of the same
-        inputs share one entry.  Without one each call starts from a fresh
-        one.
-        """
-        remaining = list(remaining)
-        u = u or {}
-        sweep = self._sweep_estimate(remaining, live)
-        if (
-            self._completion_bound(remaining, live) * _MARGIN < sweep
-            and self._bound_holds(remaining, live, u)
-        ):
-            return sweep
-        if memo is None:
-            memo = StepMemo()
-        return max(sweep, self._singleton_completion(remaining, live, u, memo))
-
-    def _completion_bound(self, remaining: list[int], live: Sequence[JEntry]) -> float:
-        """Upper bound on the singleton completion of an input that
-        ``_bound_holds`` accepts; see ``heuristic``."""
-        terms, parents, states = self._bound_terms, self.dag.parents, self.dag.states
-        bound = sum(map(terms.__getitem__, remaining))
-        for e in live:
-            g = len(frozenset().union(*map(parents, e.members)))
-            bound += self.weights.add * g * table_size(e.dims, states)
-        return bound
-
-    def _bound_holds(self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int]) -> bool:
-        """True iff the input has the shape ``_completion_bound`` assumes."""
+        """Completion estimate for the unassigned nodes: one backward
+        elimination sweep that folds the live records into one chain and
+        sums each remaining node straight out.  At the root (every node
+        remaining, no live record) it is raised to the total of the
+        founding-label mapping, a feasible mapping, so the root estimate
+        can seed the incumbent.  Refuses a remaining node with a child
+        neither remaining nor assigned in ``u``."""
         rem = set(remaining)
-        assigned = {x for x, k in u.items() if k}
-        held = [m for e in live for m in e.members]
-        return (
-            len(rem) == len(remaining)
-            and rem.isdisjoint(assigned)
-            and all(map((rem | assigned).issuperset, map(self.dag.children, rem)))
-            and len(set(held)) == len(held)
-            and rem.isdisjoint(held)
-        )
+        self._refuse_unassigned_children(rem, u or {})
+        sweep = self._sweep_estimate(rem, live)
+        if live or len(rem) < self.dag.n:
+            return sweep
+        return max(sweep, evaluate_mapping(self.dag, self.layers, self, self._labels).total)
 
-    def _sweep_estimate(self, remaining: list[int], live: Sequence[JEntry]) -> float:
+    def _refuse_unassigned_children(self, rem: set[int], u: dict[int, int]) -> None:
+        """Name the lowest (layer, id) remaining node with a child neither
+        remaining nor assigned, and its first such child."""
+        dag = self.dag
+        stuck = [z for z in rem if not all(c in rem or u.get(c) for c in dag.children(z))]
+        if stuck:
+            z = min(stuck, key=self._labels.__getitem__)
+            c = next(c for c in dag.children(z) if c not in rem and not u.get(c))
+            raise ValidationError(f"child {dag.name(c)} of {dag.name(z)} not yet assigned")
+
+    def _sweep_estimate(self, remaining: set[int], live: Sequence[JEntry]) -> float:
         scope, states, w = self.dag.scope, self.dag.states, self.weights
         acc, cost = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
         size = table_size(acc, states)
@@ -338,46 +268,6 @@ class BnComputationCost:
             size //= states[x]
             cost += (states[x] - 1) * size * w.add
         return cost
-
-    def _singleton_completion(
-        self, remaining: list[int], live: Sequence[JEntry], u: dict[int, int], memo: StepMemo
-    ) -> float:
-        """Cost each remaining node as its own cluster-layer, under its
-        founding label, lowest layer first."""
-        labels, layer = self._labels, self.layers.of
-        u2 = dict(u)
-        by_layer: dict[int, list[int]] = {}
-        for z in remaining:
-            u2[z] = labels[z]
-            by_layer.setdefault(layer(z), []).append(z)
-        entries = list(live)
-        cost = 0.0
-        for l in sorted(by_layer):
-            for _, c in layer_transitions(self, u2, entries, l, by_layer[l], memo):
-                cost += c
-        return cost
-
-
-@dataclass(frozen=True)
-class GhatEstimate:
-    """Priority estimate: accrued cost + transition + completion estimate."""
-
-    g_so_far: float
-    transition: float
-    heuristic_remaining: float
-
-    def __post_init__(self):
-        for part in (self.g_so_far, self.transition, self.heuristic_remaining):
-            if part < 0:
-                raise ValidationError("ghat components must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.g_so_far + self.transition + self.heuristic_remaining
-
-
-def ghat(g_so_far: float, transition: float, heuristic_remaining: float) -> GhatEstimate:
-    return GhatEstimate(g_so_far, transition, heuristic_remaining)
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,9 @@ class ClusterSearch:
         self.iteration = 0
         self._seq = itertools.count()
         self._last_improvement = 0
-        # The model's memo for transitions and completion estimates; lives
-        # for one run.
+        # The model's memo for transitions; lives for one run.
         self._memo: StepMemo | None = StepMemo()
-        h_all = self.model.heuristic(self.dag.node_ids(), [], None, self._memo)
+        h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
         self.branches_created = 1
         b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
@@ -257,9 +256,7 @@ class ClusterSearch:
         parents = sorted({p for z in popped for p in self.dag.parents(z)})
         if not parents:
             return
-        ghat_val = br.cum_g() + self.model.heuristic(
-            self._unassigned(br), br.live, br.u, self._memo
-        )
+        ghat_val = br.cum_g() + self.model.heuristic(self._unassigned(br), br.live, br.u)
         for p in parents:
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):

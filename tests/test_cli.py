@@ -691,7 +691,6 @@ def test_public_api_census():
         "evaluate_mapping",
         "founding_labels",
         "generate_dag",
-        "ghat",
         "load_dag",
         "optimal_set",
         "parse_dag_text",

@@ -7,11 +7,10 @@ from dagclust import (
     ValidationError,
     assign_layers,
     evaluate_mapping,
-    ghat,
     parse_dag_text,
     seven_node_example,
 )
-from dagclust.costs import _MARGIN, StepMemo, layer_transitions
+from dagclust.costs import layer_transitions
 from dagclust.dag import founding_labels
 from dagclust.factors import (
     Marginalize,
@@ -144,7 +143,7 @@ def test_heuristic_upper_bounds_singleton_completion():
         assert model.heuristic(dag.node_ids(), []) >= total
 
 
-# -- the memoised estimate against a plain one ----------------------------------------
+# -- the estimate against a plain one ----------------------------------------------
 
 
 def _plain_transition(model, u, entries, cluster, layer, zset):
@@ -175,8 +174,12 @@ def _plain_transition(model, u, entries, cluster, layer, zset):
 
 
 def _plain_heuristic(model, remaining, live, u):
-    """The completion estimate with nothing indexed or memoised: the larger
-    of the elimination sweep and the singleton completion."""
+    """The completion estimate with nothing indexed: the elimination sweep,
+    raised at the root (every node remaining, no live record) to the total
+    of the founding-label mapping.  That mapping is walked on every input,
+    one singleton cluster-layer per remaining node, lowest (layer, id)
+    first, and its first transition to meet a child neither assigned nor
+    remaining refuses the input."""
     dag, layers, states, w = model.dag, model.layers, model.dag.states, model.weights
     remaining = list(remaining)
     acc, sweep = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
@@ -193,6 +196,8 @@ def _plain_heuristic(model, remaining, live, u):
         entries.append(JEntry(k, layers.of(z), frozenset({z}), dims))
         u2[z] = k
         singles += cost
+    if live or len(remaining) < dag.n:
+        return sweep
     return max(sweep, singles)
 
 
@@ -206,36 +211,34 @@ class _StateLog(ClusterSearch):
 
 
 def _estimate_runs():
+    """(dag, config, whether to check refusals on the dag)."""
     small = [seven_node_example()] + [
         generate_dag(GeneratorSpec(n=3 + gi % 8, seed=1000 + gi, rewire=0.2, extra_arc_rate=0.4))
         for gi in range(20)
     ]
     for dag in small:
         for alpha in (0.0, 0.5, 1.0):
-            yield dag, SearchConfig(alpha=alpha, seed=0)
+            yield dag, SearchConfig(alpha=alpha, seed=0), True
     for seed in (1, 2):
-        yield generate_dag(GeneratorSpec(n=50, seed=seed)), SearchConfig(seed=0, max_iterations=200)
+        dag = generate_dag(GeneratorSpec(n=50, seed=seed))
+        yield dag, SearchConfig(seed=0, max_iterations=200), seed == 1
 
 
 def test_memoised_estimate_equals_reference():
     """On every state real searches estimate from, the estimate equals the
-    plain one exactly, with the memo kept across a search's calls as the
-    search keeps it and without one; a child neither assigned nor remaining
-    is refused with the same error."""
-    states = 0
-    for dag, cfg in _estimate_runs():
+    plain one exactly; a child neither assigned nor remaining is refused
+    with the same error, on small graphs and on a 50-node one."""
+    states = refused = 0
+    for dag, cfg, refusals in _estimate_runs():
         layers = assign_layers(dag)
         model = BnComputationCost(dag, layers)
         cs = _StateLog(dag, layers, model, cfg)
         cs.log = [(list(dag.node_ids()), [], {})]
         cs.run()
-        memo = StepMemo()
         for remaining, live, u in cs.log:
-            expect = _plain_heuristic(model, remaining, live, u)
-            assert model.heuristic(remaining, live, u, memo) == expect
-            assert model.heuristic(remaining, live, u) == expect
+            assert model.heuristic(remaining, live, u) == _plain_heuristic(model, remaining, live, u)
         states += len(cs.log)
-        if dag.n > 10:
+        if not refusals:
             continue
         # Leave one node out of a fresh completion: each of its parents
         # then has a child neither assigned nor remaining.
@@ -245,18 +248,19 @@ def test_memoised_estimate_equals_reference():
                 expect = _plain_heuristic(model, rest, [], {})
             except ValidationError as exc:
                 with pytest.raises(ValidationError) as got:
-                    model.heuristic(rest, [], {}, memo)
+                    model.heuristic(rest, [], {})
                 assert str(got.value) == str(exc)
+                refused += dag.n == 50
             else:
                 assert not dag.parents(x)
-                assert model.heuristic(rest, [], {}, memo) == expect
+                assert model.heuristic(rest, [], {}) == expect
     assert states > 1000
+    assert refused > 20
 
 
 class _MemoAudit:
-    """Cost model proxy that prices every transition and estimate handed a
-    memo again without one, and keeps each distinct memo it sees, by
-    identity."""
+    """Cost model proxy that prices every transition handed a memo again
+    without one, and keeps each distinct memo it sees, by identity."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -277,11 +281,8 @@ class _MemoAudit:
         self._seen(memo)
         return t
 
-    def heuristic(self, remaining, live, u=None, memo=None):
-        h = self.inner.heuristic(remaining, live, u, memo)
-        assert h == self.inner.heuristic(remaining, live, u)
-        self._seen(memo)
-        return h
+    def heuristic(self, remaining, live, u=None):
+        return self.inner.heuristic(remaining, live, u)
 
 
 def _memo_steps(memo) -> int:
@@ -291,9 +292,8 @@ def _memo_steps(memo) -> int:
 def test_memoised_transitions_equal_plain_ones(fig1):
     """On the criterion-4 family, every transition priced through a memo
     equals the plain one, ``==`` on cost and dims: in searches at alpha 0,
-    0.5 and 1, whose transitions and estimates share one memo per run (each
-    estimate equals the plain one too), and in the oracle's walks, one
-    memo per walk."""
+    0.5 and 1, whose transitions share one memo per run, and in the
+    oracle's walks, one memo per walk."""
     from test_acceptance import _random_suite
 
     priced = stored = 0
@@ -313,8 +313,8 @@ def test_memoised_transitions_equal_plain_ones(fig1):
         audits.append(audit)
         priced += sum(a.checked for a in audits)
         stored += sum(_memo_steps(m) for a in audits for m in a.memos)
-    # The memos hit: far fewer steps were stored, estimates' included,
-    # than transitions were priced.
+    # The memos hit: far fewer steps were stored than transitions were
+    # priced.
     assert stored * 4 < priced
 
 
@@ -346,66 +346,6 @@ def test_run_and_walk_memos_store_each_set_once(fig1):
         run, walk = audit.memos
         assert_stored_once(run)
         assert_stored_once(walk)
-
-
-def test_completion_bound_covers_the_completion():
-    """On every state real searches estimate from, the input has the shape
-    the cheap bound assumes and the bound is at least the singleton
-    completion.  On the capped n=50 searches the sweep decides every
-    estimate, and the completion never runs, in the search or after it."""
-    for dag, cfg in _estimate_runs():
-        layers = assign_layers(dag)
-        model = BnComputationCost(dag, layers)
-        completion = model._singleton_completion
-        runs = []
-        model._singleton_completion = lambda *args: runs.append(args) or completion(*args)
-        cs = _StateLog(dag, layers, model, cfg)
-        cs.log = [(list(dag.node_ids()), [], {})]
-        cs.run()
-        for remaining, live, u in cs.log:
-            model.heuristic(remaining, live, u)
-            assert model._bound_holds(remaining, live, u)
-            assert model._completion_bound(remaining, live) >= completion(remaining, live, u, StepMemo())
-        if dag.n == 50:
-            assert len(cs.log) > 100
-            assert runs == []
-
-
-def test_bound_skip_keeps_the_refusal_on_large_graphs():
-    """Leave one node out of a fresh estimate of a 50-node graph, where the
-    bound alone would return the sweep: each of its parents then has a
-    child neither assigned nor remaining, and the completion still runs
-    and refuses it with the same error as the plain estimate."""
-    dag = generate_dag(GeneratorSpec(n=50, seed=1))
-    model = BnComputationCost(dag, assign_layers(dag))
-    refused = 0
-    for x in dag.node_ids():
-        rest = [y for y in dag.node_ids() if y != x]
-        assert model._completion_bound(rest, []) * _MARGIN < model._sweep_estimate(rest, [])
-        if not dag.parents(x):
-            assert model.heuristic(rest, [], {}) == _plain_heuristic(model, rest, [], {})
-            continue
-        with pytest.raises(ValidationError) as expect:
-            _plain_heuristic(model, rest, [], {})
-        with pytest.raises(ValidationError) as got:
-            model.heuristic(rest, [], {})
-        assert str(got.value) == str(expect.value)
-        refused += 1
-    assert refused > 20
-
-
-# -- ghat ------------------------------------------------------------------------
-
-
-def test_ghat_sums():
-    est = ghat(0.0, 5.2, 82.6)
-    assert est.total == pytest.approx(87.8, abs=1e-9)
-    assert ghat(0.0, 0.0, 85.8).total == pytest.approx(85.8, abs=1e-9)
-
-
-def test_ghat_rejects_negative():
-    with pytest.raises(ValidationError):
-        ghat(-1.0, 0.0, 0.0)
 
 
 # -- mapping evaluation -------------------------------------------------------------

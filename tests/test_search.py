@@ -435,7 +435,7 @@ def test_live_entries_are_the_ungathered_records(alpha):
 
 
 def test_estimate_memo_is_per_search():
-    """A search keeps its completion memo to itself: a second run on the
+    """A search keeps its step memo to itself: a second run on the
     same model repeats the first, the model is unchanged, and compare's
     threads give the rows of a single thread."""
     dag = generate_dag(GeneratorSpec(n=30, seed=1))
@@ -472,9 +472,9 @@ def test_estimate_memo_is_per_search():
 
 
 def test_search_drops_its_memo_after_run():
-    """A run hands its transitions and estimates one memo, and once the run
-    ends nothing but the caller's own reference holds it: not the search,
-    not its model."""
+    """A run hands its transitions one memo, and once the run ends nothing
+    but the caller's own reference holds it: not the search, not its
+    model."""
     dag = generate_dag(GeneratorSpec(n=12, seed=3))
     layers = assign_layers(dag)
     plain = BnComputationCost(dag, layers)
@@ -487,9 +487,8 @@ def test_search_drops_its_memo_after_run():
             seen.append(memo)
             return plain.transition(u, entries, cluster, layer, zset, memo)
 
-        def heuristic(self, remaining, live, u=None, memo=None):
-            seen.append(memo)
-            return plain.heuristic(remaining, live, u, memo)
+        def heuristic(self, remaining, live, u=None):
+            return plain.heuristic(remaining, live, u)
 
     cs = ClusterSearch(dag, layers, Recording(), SearchConfig(seed=0))
     cs.run()
