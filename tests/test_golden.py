@@ -16,7 +16,7 @@ from dagclust.inference import cluster_inference_schedule
 from dagclust.oracle import enumerate_feasible, iter_feasible
 
 INFERENCE_DIGEST = "16a2319ddc6063cee9fc4b355f5d2269ea566be94c2f60cc74323d38781154d0"
-STREAM_DIGEST = "d006942c61c065252fa90dc5ef6d957a444a305b210de86a147635a2b34eac1f"
+STREAM_DIGEST = "c305b411e3962960b530540559de2d504558ee30f588eac0ff22ba0dabea8de6"
 ORACLE_DIGEST = "a17e47f5081bd49764b753dc22d6f2dae6fd0cd05decc842f498ba3f62bb36e2"
 GENERATOR_DIGEST = "ceb58afa9ff144282db10d90f3176ff4739c904a7b4f471d67aadd4851db5e85"
 
@@ -98,9 +98,9 @@ def test_search_stream_digest():
         iterations += res.report.iterations_total
         branches += res.report.branches_created
         solutions += res.report.solutions_emitted
-    assert count == solutions == 6018
-    assert iterations == 51565
-    assert branches == 22983
+    assert count == solutions == 6016
+    assert iterations == 51548
+    assert branches == 22981
     assert h.hexdigest() == STREAM_DIGEST
 
 
