@@ -389,13 +389,13 @@ class ClusterSearch:
         activated again and leaves the table; an inactive one with
         proposals is indexed."""
         if br.active:
-            p = br.progress
-            if p > self.layers.l_max or not any(l <= p for _, l in br.pending):
-                del self.branches[br.id]
-        elif br.pending:
-            self._index_waiting(br)
+            can_pop = any(l <= br.progress for _, l in br.pending)
         else:
+            can_pop = bool(br.pending)
+        if br.progress > self.layers.l_max or not can_pop:
             del self.branches[br.id]
+        elif not br.active:
+            self._index_waiting(br)
 
     def _emit(self, br: _Branch) -> SolutionRecord:
         mapping = dict(br.u)
