@@ -265,6 +265,7 @@ class _MemoAudit:
     def __init__(self, inner):
         self.inner = inner
         self.weights = inner.weights
+        self.heuristic = inner.heuristic
         self.memos: list[dict] = []
         self.checked = 0
 
@@ -280,9 +281,6 @@ class _MemoAudit:
             self.checked += 1
         self._seen(memo)
         return t
-
-    def heuristic(self, remaining, live, u=None):
-        return self.inner.heuristic(remaining, live, u)
 
 
 def _memo_steps(memo) -> int:
