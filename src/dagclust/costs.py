@@ -14,7 +14,6 @@ is what makes neighbouring clusters' costs interdependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity, founding_labels
@@ -136,24 +135,16 @@ class BnComputationCost:
         self.dag = dag
         self.layers = layers
         self.weights = weights
-
-    # The estimate's node tables are built at its first call: a model that
-    # only prices transitions, as one inference call does, never needs them.
-
-    @cached_property
-    def _labels(self) -> dict[int, int]:
-        """Founding labels: rank in (layer, node id) order."""
-        return founding_labels(self.dag, self.layers)
-
-    @cached_property
-    def _sweep_rank(self) -> dict[int, int]:
-        """Rank in (layer, table size, node id) order, the sweep's."""
-        dag = self.dag
+        # The sweep's elimination order, (layer, table size, node id), as a
+        # rank per node.  Built with the model, in the caller's thread: a
+        # table first built during a search would be allocated on
+        # ``stream_search``'s worker thread and outlive it, holding that
+        # thread's malloc arena.
         order = sorted(
             dag.node_ids(),
-            key=lambda x: (self.layers.of(x), table_size(dag.scope(x), dag.states), x),
+            key=lambda x: (layers.of(x), table_size(dag.scope(x), dag.states), x),
         )
-        return {x: r for r, x in enumerate(order)}
+        self._sweep_rank = {x: r for r, x in enumerate(order)}
 
     # -- transition ---------------------------------------------------------
 
@@ -239,7 +230,8 @@ class BnComputationCost:
         sweep = self._sweep_estimate(rem, live)
         if live or len(rem) < self.dag.n:
             return sweep
-        return max(sweep, evaluate_mapping(self.dag, self.layers, self, self._labels).total)
+        labels = founding_labels(self.dag, self.layers)
+        return max(sweep, evaluate_mapping(self.dag, self.layers, self, labels).total)
 
     def _refuse_unassigned_children(self, rem: set[int], u: dict[int, int]) -> None:
         """Name the lowest (layer, id) remaining node with a child neither
@@ -247,7 +239,7 @@ class BnComputationCost:
         dag = self.dag
         stuck = [z for z in rem if not all(c in rem or u.get(c) for c in dag.children(z))]
         if stuck:
-            z = min(stuck, key=self._labels.__getitem__)
+            z = min(stuck, key=lambda x: (self.layers.of(x), x))
             c = next(c for c in dag.children(z) if c not in rem and not u.get(c))
             raise ValidationError(f"child {dag.name(c)} of {dag.name(z)} not yet assigned")
 

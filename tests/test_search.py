@@ -445,9 +445,8 @@ def test_estimate_memo_is_per_search():
     def snapshot():
         return {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(model).items()}
 
-    # The model builds its node tables at its first estimate, and keeps
-    # nothing else.
-    model.heuristic(dag.node_ids(), [])
+    # The model builds its node table with itself, so a search, which may
+    # run on a worker thread, adds nothing to it.
     before = snapshot()
     runs = []
     for _ in range(2):
