@@ -86,14 +86,40 @@ class StepMemo:
         return value
 
 
+def transition_step(
+    dag: Dag,
+    weights: OpCostWeights,
+    zset: frozenset[int],
+    parts: tuple[tuple[frozenset[int], int, int], ...],
+    summed: frozenset[int],
+    memo: StepMemo | None = None,
+) -> Transition:
+    """Cost one cluster-layer from its gathered inputs: fold the ordered
+    ``(dims, layer, cluster)`` parts with Z's own tables, then sum out
+    ``summed``.  Pure, so equal inputs give equal results: ``memo`` keeps
+    each result under ``(zset, parts, summed)``, with its dims shared."""
+    if memo is not None:
+        key = (zset, parts, summed)
+        t = memo.steps.get(key)
+        if t is not None:
+            return t
+    states = dag.states
+    tables = [dag.scope(z) for z in sorted(zset)]
+    dims, cost = fold(parts, frozenset().union(*tables), tables, states, weights)
+    dims, cost = marginalize_away(dims, dims - summed, states, weights, cost)
+    if memo is None:
+        return Transition(cost=cost, dims=dims)
+    return memo.store(key, Transition(cost=cost, dims=memo.share(dims)))
+
+
 class CostModel(Protocol):
     """Contract the search engine drives.
 
     Implementations must return strictly positive transition costs and a
     non-negative heuristic.  The root estimate (every node remaining, no
     live record) seeds the incumbent bound, so it must be at least the cost
-    of some feasible mapping, or the search may prune every branch; any
-    other estimate only affects search order.
+    of some feasible mapping, or the search may prune every branch and then
+    refuses the run; any other estimate only affects search order.
 
     ``transition`` returns the cost and the dimensions of the new record.
     The mapping it gets assigns every node below the costed nodes; whether
@@ -104,8 +130,9 @@ class CostModel(Protocol):
     The search passes ``heuristic`` every record none of whose members has
     a costed parent yet.  Last, it passes ``transition`` one ``StepMemo``
     that lives for one search run, as the oracle's walk passes one per
-    walk: the model may keep memoised work there, never on itself.  A
-    model may ignore the memo.
+    walk and ``optimal_set`` one per repricing of its winners: the model
+    may keep memoised work there, never on itself.  A model may ignore the
+    memo.
     """
 
     weights: OpCostWeights
@@ -168,14 +195,7 @@ class BnComputationCost:
             key=lambda e: (e.layer, e.cluster),
         )
         parts = tuple((e.dims, e.layer, e.cluster) for e in held)
-        if memo is None:
-            return self._step(zset, parts, summed)
-        key = (zset, parts, summed)
-        t = memo.steps.get(key)
-        if t is None:
-            t = self._step(zset, parts, summed)
-            t = memo.store(key, t._replace(dims=memo.share(t.dims)))
-        return t
+        return transition_step(self.dag, self.weights, zset, parts, summed, memo)
 
     def _summed(self, u: dict[int, int], zset: frozenset[int], cluster: int) -> frozenset[int]:
         """The members of Z with no child outside the cluster.  Refuses a Z
@@ -194,21 +214,6 @@ class BnComputationCost:
             if inside:
                 out.append(z)
         return frozenset(out) if out else _EMPTY
-
-    def _step(
-        self,
-        zset: frozenset[int],
-        parts: tuple[tuple[frozenset[int], int, int], ...],
-        summed: frozenset[int],
-    ) -> Transition:
-        """Cost one cluster-layer from its gathered inputs: fold the ordered
-        ``(dims, layer, cluster)`` parts with Z's own tables, then sum out
-        ``summed``.  Pure, so equal inputs give equal results."""
-        dag, states, w = self.dag, self.dag.states, self.weights
-        tables = [dag.scope(z) for z in sorted(zset)]
-        dims, cost = fold(parts, frozenset().union(*tables), tables, states, w)
-        dims, cost = marginalize_away(dims, dims - summed, states, w, cost)
-        return Transition(cost=cost, dims=dims)
 
     # -- heuristic ----------------------------------------------------------
 
@@ -300,14 +305,16 @@ def evaluate_mapping(
     layers: LayerAssignment,
     model: CostModel,
     mapping: dict[int, int],
+    memo: StepMemo | None = None,
 ) -> MappingCost:
     """Total cost of a complete mapping: sum of cluster-layer transitions in
-    ascending layer order, driving the model exactly as the engine would."""
+    ascending layer order, driving the model exactly as the engine would.
+    ``memo`` goes to every ``transition``."""
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     entries: list[JEntry] = []
     total = 0.0
     for l in range(layers.l_max + 1):
-        for _, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ())):
+        for _, cost in layer_transitions(model, mapping, entries, l, layers.members.get(l, ()), memo):
             total += cost
     return MappingCost(total=total)

@@ -6,6 +6,7 @@ import pytest
 from dagclust import (
     BnComputationCost,
     Dag,
+    LayerAssignment,
     ValidationError,
     assign_layers,
     cluster_inference_cost,
@@ -292,19 +293,66 @@ def test_memo_lifetime_and_footprint(fig1):
     us = list(iter_feasible(dag, layers))
     for u in us:
         cluster_inference_cost(dag, layers, u)
-    (memo,) = inference._MEMOS[dag].values()
-    size = len(memo.steps), len(memo.shared)
+    tables = inference._TABLES[dag]
+    (memo,) = tables.memos.values()
+    (facts,) = tables.facts.values()
+
+    def sizes():
+        return len(memo.steps), len(memo.shared), len(facts.clusters), len(facts.pool.shared)
+
+    size = sizes()
+    assert size[2] == len({frozenset(x for x in u if u[x] == k) for u in us for k in u.values()})
     cluster_inference_cost(dag, layers, us[0])
     cluster_inference_schedule(dag, layers, us[0])
-    assert (len(memo.steps), len(memo.shared)) == size
+    assert sizes() == size
 
     assert_stored_once(memo)
+    # The facts hold one object per distinct set, each member set included.
+    ids: dict = {}
 
-    # The memo holds its Dag weakly and goes with it.
+    def visit(x):
+        if type(x) is frozenset:
+            ids.setdefault(x, set()).add(id(x))
+        elif isinstance(x, tuple):
+            for y in x:
+                visit(y)
+
+    for members, f in facts.clusters.items():
+        assert members is f.members
+        visit(f)
+    assert ids and all(len(same) == 1 for same in ids.values())
+
+    # The tables hold their Dag weakly and go with it, facts included.
     gc.collect()
-    held = len(inference._MEMOS)
+    held = len(inference._TABLES)
     gone = weakref.ref(dag)
-    del dag, memo
+    fact = weakref.ref(next(iter(facts.clusters)))
+    del dag, tables, memo, facts, members, f, ids
     gc.collect()
-    assert gone() is None
-    assert len(inference._MEMOS) == held - 1
+    assert gone() is None and fact() is None
+    assert len(inference._TABLES) == held - 1
+
+
+def test_facts_keep_layerings_apart(fig1, fig1_layers):
+    """One Dag priced under two layerings gives, under each, what a cold
+    walk on a fresh copy gives: facts built for one layering are never
+    read for another."""
+    c = fig1.id_of("C")
+    # C, a root, raised one layer: every parent still lies above its children.
+    layer = dict(fig1_layers.layer)
+    layer[c] += 1
+    top = max(layer.values())
+    raised = LayerAssignment(
+        layer=layer,
+        l_max=top,
+        members={l: tuple(x for x in fig1.node_ids() if layer[x] == l) for l in range(top + 1)},
+    )
+    assert all(layer[p] > layer[x] for x in fig1.node_ids() for p in fig1.parents(x))
+    dag = _copy(fig1)
+    us = list(iter_feasible(dag, fig1_layers))
+    for layers in (fig1_layers, raised, fig1_layers):
+        for u in us:
+            assert _priced(dag, layers, u) == _priced(_copy(fig1), layers, u), (layers, u)
+    assert len(inference._TABLES[dag].facts) == 2
+    # The two layerings give some mapping different schedules.
+    assert any(_priced(dag, fig1_layers, u) != _priced(dag, raised, u) for u in us)
