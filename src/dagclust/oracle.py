@@ -141,7 +141,8 @@ def optimal_set(
     """Exact argmin over the feasible set; duplicate partitions collapse.
 
     Each winner is repriced with ``evaluate_mapping``, and a total that
-    differs from the walk's is refused.
+    differs from the walk's is refused.  The repricing keeps a memo of its
+    own, apart from the walk's, so the check shares no step with the walk.
     """
     best = float("inf")
     winners: dict[tuple[int, ...], FeasibleMapping] = {}
@@ -156,8 +157,9 @@ def optimal_set(
                 winners[sig] = FeasibleMapping(u=dict(u), total_cost=cost, signature=sig)
     if not winners:
         raise ValidationError("no feasible mappings")
+    memo = StepMemo()
     for fm in winners.values():
-        again = evaluate_mapping(dag, layers, model, fm.u).total
+        again = evaluate_mapping(dag, layers, model, fm.u, memo).total
         if again != fm.total_cost:
             raise ValidationError(
                 f"walk priced {sorted(fm.u.items())} at {fm.total_cost!r}, "

@@ -291,7 +291,8 @@ def test_memoised_transitions_equal_plain_ones(fig1):
     """On the criterion-4 family, every transition priced through a memo
     equals the plain one, ``==`` on cost and dims: in searches at alpha 0,
     0.5 and 1, whose transitions share one memo per run, and in the
-    oracle's walks, one memo per walk."""
+    oracle's walks, one memo per walk, and in ``optimal_set``'s repricing
+    of its winners, one memo of its own."""
     from test_acceptance import _random_suite
 
     priced = stored = 0
@@ -307,7 +308,7 @@ def test_memoised_transitions_equal_plain_ones(fig1):
         audit = _MemoAudit(model)
         enumerate_feasible(dag, layers, audit)
         optimal_set(dag, layers, audit)
-        assert len(audit.memos) == 2
+        assert len(audit.memos) == 3
         audits.append(audit)
         priced += sum(a.checked for a in audits)
         stored += sum(_memo_steps(m) for a in audits for m in a.memos)

@@ -15,6 +15,8 @@ from dagclust import (
     search_space_size,
     similarity,
 )
+from dagclust import costs, oracle
+from dagclust.costs import StepMemo
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import co_membership, iter_feasible
 from dagclust.search import partition_signature
@@ -139,6 +141,50 @@ def test_optimal_set_refuses_a_winner_evaluate_mapping_prices_otherwise(fig1, fi
     prefixes differently from whole mappings; the winners' repricing sees it."""
     with pytest.raises(ValidationError, match="evaluate_mapping at"):
         optimal_set(fig1, fig1_layers, _Counting(fig1_model, skew=True))
+
+
+def test_optimal_set_reprices_winners_through_one_memo(monkeypatch):
+    """The winners' repricing shares one fresh ``StepMemo`` per call, so it
+    runs fewer steps than repricing each winner afresh, with the same
+    winners and totals."""
+    steps = 0
+    real_fold = costs.fold
+
+    def counting_fold(*args):
+        nonlocal steps
+        steps += 1
+        return real_fold(*args)
+
+    monkeypatch.setattr(costs, "fold", counting_fold)
+    real = oracle.evaluate_mapping
+    saved = 0
+    for n, seed in ((16, 2001), (12, 2002), (13, 2004), (14, 2006)):
+        dag = generate_dag(GeneratorSpec(n=n, states=(2, 3), seed=seed))
+        layers = assign_layers(dag)
+        model = BnComputationCost(dag, layers)
+        runs = []
+        for keep in (True, False):
+            memos, repriced = [], 0
+
+            def reprice(dag, layers, model, mapping, memo=None):
+                nonlocal repriced
+                memos.append(memo)
+                before = steps
+                try:
+                    return real(dag, layers, model, mapping, memo if keep else None)
+                finally:
+                    repriced += steps - before
+
+            monkeypatch.setattr(oracle, "evaluate_mapping", reprice)
+            best, winners = optimal_set(dag, layers, model)
+            assert type(memos[0]) is StepMemo and all(m is memos[0] for m in memos)
+            assert len(memos) == len(winners)
+            runs.append(((best, [(w.u, w.total_cost) for w in winners]), repriced))
+        (shared, with_memo), (afresh, without) = runs
+        assert shared == afresh
+        assert with_memo <= without
+        saved += without - with_memo
+    assert saved > 0
 
 
 def test_total_cost_all_singletons(fig1, fig1_layers, fig1_model):
