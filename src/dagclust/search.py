@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 from .dag import (
     Dag,
     LayerAssignment,
+    ValidationError,
     founding_labels,
     keeps_contiguity,
     proposal_clusters,
@@ -304,6 +305,12 @@ class ClusterSearch:
                 if on_solution is not None:
                     on_solution(rec)
         self._memo = None
+        if not solutions and cfg.prune_enabled and not terminated_early:
+            raise ValidationError(
+                f"search emptied its queue with no solution: the root estimate {self.gmin!r} "
+                "lies below every feasible mapping's cost, and the incumbent it seeds pruned "
+                "every branch"
+            )
         gmin_final = min((r.total_cost for r in solutions), default=float("inf"))
         first_optimal = None
         optimal_partitions = set()

@@ -10,6 +10,7 @@ import pytest
 from dagclust import (
     BnComputationCost,
     SearchConfig,
+    ValidationError,
     assign_layers,
     check_contiguity,
     parse_dag_text,
@@ -223,6 +224,37 @@ def test_stall_window_terminates_early(fig1, fig1_layers, fig1_model):
 def test_max_iterations_flagged(fig1, fig1_layers, fig1_model):
     res = search(fig1, fig1_layers, fig1_model, SearchConfig(seed=0, max_iterations=5))
     assert res.report.terminated_early
+
+
+class _ZeroEstimate:
+    """The stock transitions with an estimate of 0 everywhere, so the root
+    estimate lies below every feasible mapping's cost."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.weights = inner.weights
+
+    def transition(self, *args):
+        return self.inner.transition(*args)
+
+    def heuristic(self, *args):
+        return 0.0
+
+
+@pytest.mark.parametrize("run", [search, lambda *a: list(stream_search(*a))], ids=["search", "stream"])
+def test_search_refuses_a_root_estimate_below_every_mapping(fig1, fig1_layers, fig1_model, run):
+    """A pruned run that empties its queue with no solution fails loudly,
+    naming the root estimate; a capped one returns an empty result."""
+    model = _ZeroEstimate(fig1_model)
+    with pytest.raises(ValidationError, match=r"root estimate 0\.0 lies below every feasible mapping's cost"):
+        run(fig1, fig1_layers, model, SearchConfig(seed=0))
+    capped = run(fig1, fig1_layers, model, SearchConfig(seed=0, max_iterations=1))
+    solutions = capped.solutions if run is search else capped
+    assert solutions == []
+    if run is search:
+        assert capped.report.terminated_early and capped.report.optimal_cost is None
+    # Unpruned, the same model finds every mapping.
+    assert run(fig1, fig1_layers, model, SearchConfig.enumeration(seed=0))
 
 
 # -- white-box: queue, proposals, pruning ---------------------------------------------
