@@ -273,12 +273,13 @@ def _walk(
         else:
             for row in f.rows:
                 rows[row.layer].append((k, row))
-    # Partials are keyed by (layer, cluster), which sorts as parts do.
 
     # ---- forward pass -----------------------------------------------------
+    # Partials are keyed by (layer, cluster), which sorts as parts do.
     fwd: dict[tuple[int, int], frozenset[int]] = {}
     joint: dict[int, frozenset[int]] = {}
 
+    # Top layer down; the sort is stable, so ties keep cluster order.
     for k in sorted(roots, key=lambda k: -clusters[k].rows[0].layer):
         # No incoming arcs: fold the whole cluster's tables into one
         # joint, then give each link layer its own exported marginal.
