@@ -158,6 +158,7 @@ def test_optimal_set_reprices_winners_through_one_memo(monkeypatch):
     monkeypatch.setattr(costs, "fold", counting_fold)
     real = oracle.evaluate_mapping
     saved = 0
+    seen = []
     for n, seed in ((16, 2001), (12, 2002), (13, 2004), (14, 2006)):
         dag = generate_dag(GeneratorSpec(n=n, states=(2, 3), seed=seed))
         layers = assign_layers(dag)
@@ -179,12 +180,15 @@ def test_optimal_set_reprices_winners_through_one_memo(monkeypatch):
             best, winners = optimal_set(dag, layers, model)
             assert type(memos[0]) is StepMemo and all(m is memos[0] for m in memos)
             assert len(memos) == len(winners)
+            seen.append(memos[0])
             runs.append(((best, [(w.u, w.total_cost) for w in winners]), repriced))
         (shared, with_memo), (afresh, without) = runs
         assert shared == afresh
         assert with_memo <= without
         saved += without - with_memo
     assert saved > 0
+    # A fresh memo per call.
+    assert len(set(map(id, seen))) == len(seen)
 
 
 def test_total_cost_all_singletons(fig1, fig1_layers, fig1_model):
