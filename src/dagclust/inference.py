@@ -293,7 +293,8 @@ def _walk(
                 fwd[row.layer, k], cost = sum_out(joint[k], row.exported)
                 put(cost)
                 if notes is not None:
-                    notes.append(("forward", k, row.layer, "export link dims at layer {}", row.layer))
+                    label = "export link dims at layer {}"
+                    notes.append(("forward", k, row.layer, label, row.layer))
 
     for l in range(facts.top, -1, -1):
         for k, row in rows[l]:
@@ -337,6 +338,8 @@ def _walk(
             root_dims[k] = joint[k]
             continue
         # The joint lies within the cluster, so cutting it charges nothing.
+        # Here and in the posteriors the parts go in (cluster, layer) order,
+        # which the memo key holds.
         ext = sorted({(mapping[c], lc) for c, lc in f.sinks})
         parts = [(bwd[lc, kc], lc, kc) for kc, lc in ext]
         parts.append((joint[k], f.low, k))
@@ -354,7 +357,8 @@ def _walk(
             dims = fwd[l, k]
             # With no child sources the own partial is used as it is.
             if kids:
-                parts = [(bwd[lc, kc], lc, kc) for kc, lc in sorted({(mapping[c], lc) for c, lc in kids})]
+                ext = sorted({(mapping[c], lc) for c, lc in kids})
+                parts = [(bwd[lc, kc], lc, kc) for kc, lc in ext]
                 parts.append((dims, l, k))
                 _, cost = product(tuple(parts), dims, (), single)
             else:
