@@ -14,8 +14,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 from .dag import (
     Dag,
@@ -83,35 +84,100 @@ class SearchResult:
     report: RunReport
 
 
-@dataclass
+class _Snapshot:
+    """A popped branch's queued proposals, frozen for the clones that pop
+    makes.  Every clone of the pop shares it; the clone whose block starts
+    at ``seq0`` queues entry i under seq ``seq0 + i``."""
+
+    __slots__ = ("ghat", "lo_ghat", "lo_ghat_at", "lo_layer", "lo_layer_at")
+
+    def __init__(self, ghat: dict[tuple[int, int], float]):
+        # Each key's ghat, in seq order; never changed once built.
+        self.ghat = ghat
+        # The lowest ghat and layer, each with the index of its first entry
+        # (unset when empty).
+        if ghat:
+            ghats = list(ghat.values())
+            layers = [l for _, l in ghat]
+            self.lo_ghat = min(ghats)
+            self.lo_ghat_at = ghats.index(self.lo_ghat)
+            self.lo_layer = min(layers)
+            self.lo_layer_at = layers.index(self.lo_layer)
+
+    @classmethod
+    def of(cls, br: "_Branch") -> "_Snapshot":
+        """The branch's queued proposals: its unpopped inherited ones, then
+        its own, which were all pushed after it was cloned."""
+        snap, used, own = br.snap, br.used, br.own
+        if not used and not own:
+            return snap
+        ghat = snap.ghat.copy()
+        for key in used:
+            del ghat[key]
+        for key, (g, _) in own.items():
+            ghat[key] = g
+        return cls(ghat)
+
+
+_NO_PROPOSALS = _Snapshot({})
+
+
+# The ``own`` of a branch with no push of its own: read-only, so that no
+# branch can write into another's.
+_NO_OWN: Mapping[tuple[int, int], tuple[float, int]] = MappingProxyType({})
+
+
 class _Branch:
-    id: int
-    u: dict[int, int]
-    entries: list[JEntry]
-    g: dict[int, float]  # per-layer cost increments
-    progress: int  # lowest incomplete layer
-    active: bool
-    alive: bool = True
-    # The records no transition has gathered yet, in ``entries`` order.
-    live: tuple[JEntry, ...] = ()
-    # Queued proposals: (cluster, layer) -> (ghat, seq), in push order.
-    pending: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
+    __slots__ = (
+        "id", "u", "entries", "g", "progress", "active", "alive", "n_ready", "live",
+        "snap", "seq0", "used", "own",
+    )
+
+    def __init__(
+        self,
+        id: int,
+        u: dict[int, int],
+        entries: list[JEntry],
+        g: dict[int, float],
+        progress: int,
+        active: bool,
+        live: tuple[JEntry, ...] = (),
+        snap: _Snapshot = _NO_PROPOSALS,
+        seq0: int = 0,
+    ):
+        self.id = id
+        self.u = u
+        self.entries = entries
+        self.g = g  # per-layer cost increments
+        self.progress = progress  # lowest incomplete layer
+        self.active = active
+        self.alive = True
+        # How many of its proposals the ready heap holds: while it is
+        # active, those at or below its progress.
+        self.n_ready = 0
+        # The records no transition has gathered yet, in ``entries`` order.
+        self.live = live
+        # Queued proposals come in two parts.  The inherited ones are the
+        # entries of ``snap`` not in ``used`` (the snapshot keys this branch
+        # has popped), entry i under seq ``seq0 + i``.  ``own`` maps each
+        # key pushed to this branch since it was cloned to its (ghat, seq),
+        # in push order.  A key sits in at most one part.
+        self.snap = snap
+        self.seq0 = seq0
+        self.used: tuple[tuple[int, int], ...] = ()
+        self.own: Mapping[tuple[int, int], tuple[float, int]] = _NO_OWN
 
     def cum_g(self) -> float:
         return sum(self.g.values())
 
-    def clone(self, new_id: int, seqs: Iterator[int]) -> "_Branch":
-        """An inactive copy that queues the same proposals under fresh seqs."""
-        return _Branch(
-            id=new_id,
-            u=dict(self.u),
-            entries=list(self.entries),
-            g=dict(self.g),
-            live=self.live,
-            progress=self.progress,
-            active=False,
-            pending={key: (ghat, next(seqs)) for key, (ghat, _) in self.pending.items()},
-        )
+    def queued(self) -> Iterator[tuple[tuple[int, int], float, int]]:
+        """Every queued proposal as (key, ghat, seq), in seq order."""
+        snap, used = self.snap, self.used
+        for seq, (key, ghat) in enumerate(snap.ghat.items(), self.seq0):
+            if key not in used:
+                yield key, ghat, seq
+        for key, (ghat, seq) in self.own.items():
+            yield key, ghat, seq
 
 
 def enumerate_combos(
@@ -166,7 +232,7 @@ class ClusterSearch:
         self._waiting_ghat: list[tuple[float, int, int]] = []
         self._waiting_layer: list[tuple[int, int, int]] = []
         self.iteration = 0
-        self._seq = itertools.count()
+        self._seq = 0  # the next seq to hand out
         self._last_improvement = 0
         # The model's memo for transitions; lives for one run.
         self._memo: StepMemo | None = StepMemo()
@@ -188,31 +254,81 @@ class ClusterSearch:
     # only) activated is discarded when it reaches the top.
 
     def _push(self, br: _Branch, key: tuple[int, int], ghat: float) -> None:
-        seq = next(self._seq)
-        br.pending[key] = (ghat, seq)
+        seq = self._seq
+        self._seq += 1
+        if br.own is _NO_OWN:
+            br.own = {}
+        br.own[key] = (ghat, seq)
         if br.active and key[1] <= br.progress:
             heapq.heappush(self._ready, (ghat, seq, br.id, key))
+            br.n_ready += 1
+
+    def _clone(self, br: _Branch, snap: _Snapshot) -> _Branch:
+        """A new inactive copy of ``br`` that queues ``snap``, the popped
+        branch's proposals, under the next block of seqs."""
+        self.branches_created += 1
+        # Positional: binding keywords doubles the cost of this call.
+        nb = _Branch(
+            self.branches_created,
+            dict(br.u),
+            list(br.entries),
+            dict(br.g),
+            br.progress,
+            False,
+            br.live,
+            snap,
+            self._seq,
+        )
+        self._seq += len(snap.ghat)
+        self.branches[nb.id] = nb
+        return nb
 
     def _activate(self, br: _Branch) -> None:
+        # An inactive branch has popped nothing, so its whole snapshot is
+        # queued.
         br.active = True
-        for key, (ghat, seq) in br.pending.items():
-            if key[1] <= br.progress:
-                heapq.heappush(self._ready, (ghat, seq, br.id, key))
+        ready, bid, p = self._ready, br.id, br.progress
+        before = len(ready)
+        for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0):
+            if key[1] <= p:
+                heapq.heappush(ready, (ghat, seq, bid, key))
+        for key, (ghat, seq) in br.own.items():
+            if key[1] <= p:
+                heapq.heappush(ready, (ghat, seq, bid, key))
+        br.n_ready += len(ready) - before
 
     def _advance(self, br: _Branch) -> None:
         """Mark the branch's lowest incomplete layer complete."""
         br.progress += 1
-        if br.active:
-            for key, (ghat, seq) in br.pending.items():
-                if key[1] == br.progress:
-                    heapq.heappush(self._ready, (ghat, seq, br.id, key))
+        if not br.active:
+            return
+        ready, bid, p = self._ready, br.id, br.progress
+        before = len(ready)
+        # Every popped key lies below the new progress, so each snapshot
+        # entry at it is still queued.
+        for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0):
+            if key[1] == p:
+                heapq.heappush(ready, (ghat, seq, bid, key))
+        for key, (ghat, seq) in br.own.items():
+            if key[1] == p:
+                heapq.heappush(ready, (ghat, seq, bid, key))
+        br.n_ready += len(ready) - before
 
     def _index_waiting(self, br: _Branch) -> None:
-        """Index an inactive branch, whose proposals are now final."""
-        ghat, seq = min(br.pending.values())
-        heapq.heappush(self._waiting_ghat, (ghat, seq, br.id))
-        layer, seq = min((l, seq) for (_, l), (_, seq) in br.pending.items())
-        heapq.heappush(self._waiting_layer, (layer, seq, br.id))
+        """Index an inactive branch, whose proposals are now final.  It has
+        popped nothing, and its own seqs follow its snapshot's."""
+        snap, seq0 = br.snap, br.seq0
+        by_ghat = by_layer = None
+        if snap.ghat:
+            by_ghat = (snap.lo_ghat, seq0 + snap.lo_ghat_at)
+            by_layer = (snap.lo_layer, seq0 + snap.lo_layer_at)
+        for (_, l), top in br.own.items():
+            if by_ghat is None or top < by_ghat:
+                by_ghat = top
+            if by_layer is None or l < by_layer[0]:
+                by_layer = (l, top[1])
+        heapq.heappush(self._waiting_ghat, (*by_ghat, br.id))
+        heapq.heappush(self._waiting_layer, (*by_layer, br.id))
 
     def _take_ready(self) -> tuple[_Branch, tuple[int, int]] | None:
         """Remove and return the eligible proposal with the lowest (ghat, seq)."""
@@ -220,7 +336,11 @@ class ClusterSearch:
             _, _, bid, key = heapq.heappop(self._ready)
             br = self.branches.get(bid)
             if br is not None:
-                del br.pending[key]
+                br.n_ready -= 1
+                if key in br.own:
+                    del br.own[key]
+                else:
+                    br.used += (key,)
                 return br, key
         return None
 
@@ -254,15 +374,16 @@ class ClusterSearch:
     # -- proposals -----------------------------------------------------------------
 
     def _propose_parents(self, br: _Branch, popped: frozenset[int]) -> None:
-        parents = sorted({p for z in popped for p in self.dag.parents(z)})
+        parents = sorted(frozenset().union(*map(self.dag.parents, popped)))
         if not parents:
             return
         ghat_val = br.cum_g() + self.model.heuristic(self._unassigned(br), br.live, br.u)
         for p in parents:
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
-                if (k, l) not in br.pending:
-                    self._push(br, (k, l), ghat_val)
+                key = (k, l)
+                if key not in br.own and (key not in br.snap.ghat or key in br.used):
+                    self._push(br, key, ghat_val)
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self._from_layer[br.progress] if not br.u.get(x)]
@@ -354,10 +475,9 @@ class ClusterSearch:
             return []
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
+        snap = _Snapshot.of(br) if len(combos) > 1 else None
         for combo in combos[1:]:
-            self.branches_created += 1
-            nb = br.clone(self.branches_created, self._seq)
-            self.branches[nb.id] = nb
+            nb = self._clone(br, snap)
             if l == 0:
                 self._activate(nb)
             holders.append((nb, combo))
@@ -373,12 +493,12 @@ class ClusterSearch:
             # The transition gathered the records holding a child of the
             # combo; a record is live until its first gather, and the new
             # record's members have no costed parent yet.
-            kids = frozenset().union(*(dag.children(z) for z in combo))
-            holder.live = (*(e for e in holder.live if kids.isdisjoint(e.members)), entry)
+            kids = frozenset().union(*map(dag.children, combo))
+            holder.live = (*[e for e in holder.live if kids.isdisjoint(e.members)], entry)
             for x in combo:
                 holder.u[x] = k
             holder.g[l] = holder.g.get(l, 0.0) + t.cost
-            layer_done = all(holder.u.get(x) for x in layers.members.get(l, ()))
+            layer_done = all(map(holder.u.get, layers.members.get(l, ())))
             if layer_done:
                 self._advance(holder)
                 if l == layers.l_max:
@@ -396,9 +516,9 @@ class ClusterSearch:
         activated again and leaves the table; an inactive one with
         proposals is indexed."""
         if br.active:
-            can_pop = any(l <= br.progress for _, l in br.pending)
+            can_pop = br.n_ready > 0
         else:
-            can_pop = bool(br.pending)
+            can_pop = bool(br.snap.ghat or br.own)
         if br.progress > self.layers.l_max or not can_pop:
             del self.branches[br.id]
         elif not br.active:

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import os
 import random
 import threading
@@ -24,6 +25,7 @@ from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
     ClusterSearch,
     ConfigError,
+    _Snapshot,
     enumerate_combos,
     partition_signature,
 )
@@ -275,7 +277,7 @@ def test_first_pop_proposes_parent_clusters(fig1, fig1_layers, fig1_model):
     assert br is cs.branches[1]
     assert key == (1, 0)  # the F proposal was pushed first
     cs._process_pop(br, key)
-    added = {key: ghat for key, (ghat, _) in cs.branches[1].pending.items() if key[1] == 2}
+    added = {key: ghat for key, ghat, _ in cs.branches[1].queued() if key[1] == 2}
     assert set(added) == {(1, 2), (5, 2)}
     for ghat in added.values():
         assert ghat == pytest.approx(87.8, abs=1e-9)
@@ -287,29 +289,29 @@ def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
     cs._init()
     br = cs.branches[1]
     br.u.update(u)
-    before = len(br.pending)
+    before = list(br.queued())
     cs._propose_parents(br, frozenset({fig1.id_of("B")}))
-    assert len(br.pending) == before
+    assert list(br.queued()) == before
 
 
 def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
-    clone = br.clone(99, cs._seq)
+    clone = cs._clone(br, _Snapshot.of(br))
     assert not clone.active
-    assert list(clone.pending) == list(br.pending)
-    assert all(c[1] > b[1] for c, b in zip(clone.pending.values(), br.pending.values()))
-    cs.branches[99] = clone
+    assert [key for key, _, _ in clone.queued()] == [key for key, _, _ in br.queued()]
+    assert all(c[2] > b[2] for c, b in zip(clone.queued(), br.queued()))
     cs._push(clone, (3, 0), 50.0)
-    assert all(bid != 99 for _, _, bid, _ in cs._ready)
+    assert all(bid != clone.id for _, _, bid, _ in cs._ready)
     assert cs._waiting_top(cs._waiting_ghat) is None
     cs._index_waiting(clone)
-    assert cs._waiting_ghat[0] == (50.0, clone.pending[3, 0][1], 99)
-    assert cs._waiting_layer[0] == (0, clone.pending[1, 0][1], 99)
+    seqs = {key: seq for key, _, seq in clone.queued()}
+    assert cs._waiting_ghat[0] == (50.0, seqs[3, 0], clone.id)
+    assert cs._waiting_layer[0] == (0, seqs[1, 0], clone.id)
     assert cs._next_waiting() is clone
     cs._activate(clone)
-    assert {key for _, _, bid, key in cs._ready if bid == 99} == {(1, 0), (2, 0), (3, 0)}
+    assert {key for _, _, bid, key in cs._ready if bid == clone.id} == {(1, 0), (2, 0), (3, 0)}
     assert cs._waiting_top(cs._waiting_ghat) is None
 
 
@@ -319,10 +321,10 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     a = cs.branches[1]
-    b = a.clone(2, cs._seq)
-    c = a.clone(3, cs._seq)
-    cs.branches[2] = b
-    cs.branches[3] = c
+    snap = _Snapshot.of(a)
+    b = cs._clone(a, snap)
+    c = cs._clone(a, snap)
+    assert (b.id, c.id) == (2, 3)
     a.g = {0: 35.2}
     b.g = {0: 36.0}
     c.g = {0: 35.2}
@@ -369,9 +371,9 @@ class _Instrumented(ClusterSearch):
         # one that can never pop again is dropped when its pop ends: an
         # inactive one with no proposal, an active one with none at or
         # below its progress.
-        assert all(b.pending for b in self.branches.values())
+        assert all(any(b.queued()) for b in self.branches.values())
         assert all(
-            any(l <= b.progress for _, l in b.pending)
+            any(l <= b.progress for (_, l), _, _ in b.queued())
             for b in self.branches.values()
             if b.active
         )
@@ -548,7 +550,7 @@ def _scan_ready(cs):
         (ghat, seq, br.id, key)
         for br in cs.branches.values()
         if br.alive and br.active
-        for key, (ghat, seq) in br.pending.items()
+        for key, ghat, seq in br.queued()
         if key[1] <= br.progress
     ]
     return min(eligible)[2:] if eligible else None
@@ -561,7 +563,7 @@ def _scan_waiting(cs):
         (ghat, layer, seq, br)
         for br in cs.branches.values()
         if br.alive and not br.active
-        for (_, layer), (ghat, seq) in br.pending.items()
+        for (_, layer), ghat, seq in br.queued()
     ]
     if not waiting:
         return None
@@ -619,7 +621,7 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert cs._waiting_top(cs._waiting_layer) is None
         # Killed and finished branches, and those with no proposal left,
         # leave at once.
-        assert all(b.alive and b.pending and len(b.u) < dag.n for b in cs.branches.values())
+        assert all(b.alive and any(b.queued()) and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
 
 
@@ -661,3 +663,69 @@ def test_inactive_branch_gains_proposals_only_in_its_cloning_pop():
         assert cs.strays == 0
         inactive_pushes += cs.inactive_pushes
     assert inactive_pushes > 0
+
+
+class _PerCloneCopy(ClusterSearch):
+    """Keeps beside each branch the proposal map a per-clone copy builds: a
+    push appends under the next seq, a pop deletes, and a clone re-keys its
+    parent's map in order under fresh seqs from the same counter.  At each
+    activation the branch's queue must equal that map, seq for seq, and
+    each cloning pop must hand its clones one snapshot."""
+
+    def _init(self):
+        self.copies = {}
+        self.seqs = itertools.count()
+        self.pop_snapshots = []  # per cloning pop: (clones, distinct snapshots)
+        self.activations = 0
+        self._snaps = None
+        super()._init()
+
+    def _push(self, br, key, ghat):
+        self.copies.setdefault(br.id, {})[key] = (ghat, next(self.seqs))
+        super()._push(br, key, ghat)
+
+    def _take_ready(self):
+        got = super()._take_ready()
+        if got is not None:
+            del self.copies[got[0].id][got[1]]
+        return got
+
+    def _process_pop(self, br, key):
+        self._snaps = []
+        try:
+            return super()._process_pop(br, key)
+        finally:
+            if self._snaps:
+                self.pop_snapshots.append((len(self._snaps), len({id(s) for s in self._snaps})))
+            self._snaps = None
+
+    def _clone(self, br, snap):
+        nb = super()._clone(br, snap)
+        self._snaps.append(snap)
+        parent = self.copies.get(br.id, {})
+        self.copies[nb.id] = {key: (ghat, next(self.seqs)) for key, (ghat, _) in parent.items()}
+        return nb
+
+    def _activate(self, br):
+        snap = br.snap
+        super()._activate(br)
+        assert br.snap is snap
+        expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
+        assert list(br.queued()) == expect, (self.iteration, br.id)
+        self.activations += 1
+
+
+def test_clones_share_one_snapshot_and_keep_the_copied_seqs():
+    """On a 50-node anytime search the clones one pop makes hold one
+    snapshot object, and every activated clone queues exactly the (key,
+    ghat, seq) triples a per-clone copy of its parent's proposals gave."""
+    dag = generate_dag(GeneratorSpec(n=50, seed=3))
+    layers = assign_layers(dag)
+    cfg = SearchConfig(alpha=0.5, seed=0, max_iterations=300)
+    cs = _PerCloneCopy(dag, layers, BnComputationCost(dag, layers), cfg)
+    res = cs.run()
+    assert res.report.iterations_total == 300 and res.solutions
+    assert cs.activations > 0
+    assert all(distinct == 1 for _, distinct in cs.pop_snapshots)
+    assert sum(clones for clones, _ in cs.pop_snapshots) == res.report.branches_created - 1
+    assert any(clones > 1 for clones, _ in cs.pop_snapshots)
