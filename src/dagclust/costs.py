@@ -242,6 +242,10 @@ class BnComputationCost:
         """Name the lowest (layer, id) remaining node with a child neither
         remaining nor assigned, and its first such child."""
         dag = self.dag
+        outside = set().union(*map(dag.children, rem))
+        outside -= rem
+        if all(map(u.get, outside)):
+            return
         stuck = [z for z in rem if not all(c in rem or u.get(c) for c in dag.children(z))]
         if stuck:
             z = min(stuck, key=lambda x: (self.layers.of(x), x))
