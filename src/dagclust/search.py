@@ -127,57 +127,32 @@ _NO_PROPOSALS = _Snapshot({})
 _NO_OWN: Mapping[tuple[int, int], tuple[float, int]] = MappingProxyType({})
 
 
+@dataclass(slots=True)
 class _Branch:
-    __slots__ = (
-        "id", "u", "entries", "g", "progress", "active", "alive", "n_ready", "live",
-        "snap", "seq0", "used", "own",
-    )
-
-    def __init__(
-        self,
-        id: int,
-        u: dict[int, int],
-        entries: list[JEntry],
-        g: dict[int, float],
-        progress: int,
-        active: bool,
-        live: tuple[JEntry, ...] = (),
-        snap: _Snapshot = _NO_PROPOSALS,
-        seq0: int = 0,
-    ):
-        self.id = id
-        self.u = u
-        self.entries = entries
-        self.g = g  # per-layer cost increments
-        self.progress = progress  # lowest incomplete layer
-        self.active = active
-        self.alive = True
-        # How many of its proposals the ready heap holds: while it is
-        # active, those at or below its progress.
-        self.n_ready = 0
-        # The records no transition has gathered yet, in ``entries`` order.
-        self.live = live
-        # Queued proposals come in two parts.  The inherited ones are the
-        # entries of ``snap`` not in ``used`` (the snapshot keys this branch
-        # has popped), entry i under seq ``seq0 + i``.  ``own`` maps each
-        # key pushed to this branch since it was cloned to its (ghat, seq),
-        # in push order.  A key sits in at most one part.
-        self.snap = snap
-        self.seq0 = seq0
-        self.used: tuple[tuple[int, int], ...] = ()
-        self.own: Mapping[tuple[int, int], tuple[float, int]] = _NO_OWN
+    id: int
+    u: dict[int, int]
+    entries: list[JEntry]
+    g: dict[int, float]  # per-layer cost increments
+    progress: int  # lowest incomplete layer
+    active: bool
+    # The records no transition has gathered yet, in ``entries`` order.
+    live: tuple[JEntry, ...]
+    # Queued proposals come in two parts.  The inherited ones are the
+    # entries of ``snap`` not in ``used`` (the snapshot keys this branch has
+    # popped), entry i under seq ``seq0 + i``.  ``own`` maps each key pushed
+    # to this branch since it was cloned to its (ghat, seq), in push order.
+    # A key sits in at most one part.
+    snap: _Snapshot
+    seq0: int
+    own: Mapping[tuple[int, int], tuple[float, int]]
+    used: tuple[tuple[int, int], ...] = ()
+    alive: bool = True
+    # How many of its proposals the ready heap holds: while it is active,
+    # those at or below its progress.
+    n_ready: int = 0
 
     def cum_g(self) -> float:
         return sum(self.g.values())
-
-    def queued(self) -> Iterator[tuple[tuple[int, int], float, int]]:
-        """Every queued proposal as (key, ghat, seq), in seq order."""
-        snap, used = self.snap, self.used
-        for seq, (key, ghat) in enumerate(snap.ghat.items(), self.seq0):
-            if key not in used:
-                yield key, ghat, seq
-        for key, (ghat, seq) in self.own.items():
-            yield key, ghat, seq
 
 
 def enumerate_combos(
@@ -239,7 +214,10 @@ class ClusterSearch:
         h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
         self.branches_created = 1
-        b = _Branch(id=1, u={}, entries=[], g={}, progress=0, active=True)
+        b = _Branch(
+            id=1, u={}, entries=[], g={}, progress=0, active=True, live=(),
+            snap=_NO_PROPOSALS, seq0=0, own={},
+        )
         self.branches[b.id] = b
         for x in self.dag.leaves:
             self._push(b, (self.labels[x], 0), h_all)
@@ -269,15 +247,8 @@ class ClusterSearch:
         self.branches_created += 1
         # Positional: binding keywords doubles the cost of this call.
         nb = _Branch(
-            self.branches_created,
-            dict(br.u),
-            list(br.entries),
-            dict(br.g),
-            br.progress,
-            False,
-            br.live,
-            snap,
-            self._seq,
+            self.branches_created, dict(br.u), list(br.entries), dict(br.g), br.progress,
+            False, br.live, snap, self._seq, _NO_OWN,
         )
         self._seq += len(snap.ghat)
         self.branches[nb.id] = nb
@@ -287,30 +258,25 @@ class ClusterSearch:
         # An inactive branch has popped nothing, so its whole snapshot is
         # queued.
         br.active = True
-        ready, bid, p = self._ready, br.id, br.progress
-        before = len(ready)
-        for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0):
-            if key[1] <= p:
-                heapq.heappush(ready, (ghat, seq, bid, key))
-        for key, (ghat, seq) in br.own.items():
-            if key[1] <= p:
-                heapq.heappush(ready, (ghat, seq, bid, key))
-        br.n_ready += len(ready) - before
+        self._make_ready(br, 0)
 
     def _advance(self, br: _Branch) -> None:
         """Mark the branch's lowest incomplete layer complete."""
         br.progress += 1
-        if not br.active:
-            return
+        if br.active:
+            # Every popped key lies below the new progress, so each snapshot
+            # entry at it is still queued.
+            self._make_ready(br, br.progress)
+
+    def _make_ready(self, br: _Branch, lo: int) -> None:
+        """Push the branch's proposals at layers lo..progress to ``_ready``."""
         ready, bid, p = self._ready, br.id, br.progress
         before = len(ready)
-        # Every popped key lies below the new progress, so each snapshot
-        # entry at it is still queued.
         for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0):
-            if key[1] == p:
+            if lo <= key[1] <= p:
                 heapq.heappush(ready, (ghat, seq, bid, key))
         for key, (ghat, seq) in br.own.items():
-            if key[1] == p:
+            if lo <= key[1] <= p:
                 heapq.heappush(ready, (ghat, seq, bid, key))
         br.n_ready += len(ready) - before
 
@@ -320,8 +286,11 @@ class ClusterSearch:
         snap, seq0 = br.snap, br.seq0
         by_ghat = by_layer = None
         if snap.ghat:
-            by_ghat = (snap.lo_ghat, seq0 + snap.lo_ghat_at)
-            by_layer = (snap.lo_layer, seq0 + snap.lo_layer_at)
+            # Entry 0 is the usual minimum; its seq is ``seq0`` itself, so
+            # the heaps hold no new int for it while the branch lives.
+            i, j = snap.lo_ghat_at, snap.lo_layer_at
+            by_ghat = (snap.lo_ghat, seq0 + i if i else seq0)
+            by_layer = (snap.lo_layer, seq0 + j if j else seq0)
         for (_, l), top in br.own.items():
             if by_ghat is None or top < by_ghat:
                 by_ghat = top

@@ -262,6 +262,14 @@ def test_search_refuses_a_root_estimate_below_every_mapping(fig1, fig1_layers, f
 # -- white-box: queue, proposals, pruning ---------------------------------------------
 
 
+def _queued(br):
+    """Every proposal the branch queues as (key, ghat, seq), in seq order:
+    the snapshot entries it has not popped, then its own pushes."""
+    snap = br.snap.ghat.items()
+    inherited = [(key, ghat, seq) for seq, (key, ghat) in enumerate(snap, br.seq0) if key not in br.used]
+    return inherited + [(key, ghat, seq) for key, (ghat, seq) in br.own.items()]
+
+
 def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
@@ -277,7 +285,7 @@ def test_first_pop_proposes_parent_clusters(fig1, fig1_layers, fig1_model):
     assert br is cs.branches[1]
     assert key == (1, 0)  # the F proposal was pushed first
     cs._process_pop(br, key)
-    added = {key: ghat for key, ghat, _ in cs.branches[1].queued() if key[1] == 2}
+    added = {key: ghat for key, ghat, _ in _queued(cs.branches[1]) if key[1] == 2}
     assert set(added) == {(1, 2), (5, 2)}
     for ghat in added.values():
         assert ghat == pytest.approx(87.8, abs=1e-9)
@@ -289,9 +297,9 @@ def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
     cs._init()
     br = cs.branches[1]
     br.u.update(u)
-    before = list(br.queued())
+    before = _queued(br)
     cs._propose_parents(br, frozenset({fig1.id_of("B")}))
-    assert list(br.queued()) == before
+    assert _queued(br) == before
 
 
 def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
@@ -300,13 +308,13 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     br = cs.branches[1]
     clone = cs._clone(br, _Snapshot.of(br))
     assert not clone.active
-    assert [key for key, _, _ in clone.queued()] == [key for key, _, _ in br.queued()]
-    assert all(c[2] > b[2] for c, b in zip(clone.queued(), br.queued()))
+    assert [key for key, _, _ in _queued(clone)] == [key for key, _, _ in _queued(br)]
+    assert all(c[2] > b[2] for c, b in zip(_queued(clone), _queued(br)))
     cs._push(clone, (3, 0), 50.0)
     assert all(bid != clone.id for _, _, bid, _ in cs._ready)
     assert cs._waiting_top(cs._waiting_ghat) is None
     cs._index_waiting(clone)
-    seqs = {key: seq for key, _, seq in clone.queued()}
+    seqs = {key: seq for key, _, seq in _queued(clone)}
     assert cs._waiting_ghat[0] == (50.0, seqs[3, 0], clone.id)
     assert cs._waiting_layer[0] == (0, seqs[1, 0], clone.id)
     assert cs._next_waiting() is clone
@@ -371,9 +379,9 @@ class _Instrumented(ClusterSearch):
         # one that can never pop again is dropped when its pop ends: an
         # inactive one with no proposal, an active one with none at or
         # below its progress.
-        assert all(any(b.queued()) for b in self.branches.values())
+        assert all(any(_queued(b)) for b in self.branches.values())
         assert all(
-            any(l <= b.progress for (_, l), _, _ in b.queued())
+            any(l <= b.progress for (_, l), _, _ in _queued(b))
             for b in self.branches.values()
             if b.active
         )
@@ -550,7 +558,7 @@ def _scan_ready(cs):
         (ghat, seq, br.id, key)
         for br in cs.branches.values()
         if br.alive and br.active
-        for key, ghat, seq in br.queued()
+        for key, ghat, seq in _queued(br)
         if key[1] <= br.progress
     ]
     return min(eligible)[2:] if eligible else None
@@ -563,7 +571,7 @@ def _scan_waiting(cs):
         (ghat, layer, seq, br)
         for br in cs.branches.values()
         if br.alive and not br.active
-        for (_, layer), ghat, seq in br.queued()
+        for (_, layer), ghat, seq in _queued(br)
     ]
     if not waiting:
         return None
@@ -621,7 +629,7 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert cs._waiting_top(cs._waiting_layer) is None
         # Killed and finished branches, and those with no proposal left,
         # leave at once.
-        assert all(b.alive and any(b.queued()) and len(b.u) < dag.n for b in cs.branches.values())
+        assert all(b.alive and any(_queued(b)) and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
 
 
@@ -711,7 +719,7 @@ class _PerCloneCopy(ClusterSearch):
         super()._activate(br)
         assert br.snap is snap
         expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
-        assert list(br.queued()) == expect, (self.iteration, br.id)
+        assert _queued(br) == expect, (self.iteration, br.id)
         self.activations += 1
 
 
