@@ -379,7 +379,7 @@ class _Instrumented(ClusterSearch):
         # one that can never pop again is dropped when its pop ends: an
         # inactive one with no proposal, an active one with none at or
         # below its progress.
-        assert all(any(_queued(b)) for b in self.branches.values())
+        assert all(_queued(b) for b in self.branches.values())
         assert all(
             any(l <= b.progress for (_, l), _, _ in _queued(b))
             for b in self.branches.values()
@@ -629,7 +629,7 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert cs._waiting_top(cs._waiting_layer) is None
         # Killed and finished branches, and those with no proposal left,
         # leave at once.
-        assert all(b.alive and any(_queued(b)) and len(b.u) < dag.n for b in cs.branches.values())
+        assert all(b.alive and _queued(b) and len(b.u) < dag.n for b in cs.branches.values())
     assert pops > 0 and activations > 0
 
 
