@@ -49,12 +49,6 @@ class SearchConfig:
         if self.stall_window is not None and self.stall_window < 0:
             raise ConfigError("stall_window must not be negative")
 
-    @classmethod
-    def enumeration(cls, **kw) -> "SearchConfig":
-        """Every feasible mapping, nothing pruned."""
-        kw.setdefault("prune_enabled", False)
-        return cls(**kw)
-
 
 @dataclass
 class SolutionRecord:
@@ -104,20 +98,6 @@ class _Snapshot:
             self.lo_layer = min(layers)
             self.lo_layer_at = layers.index(self.lo_layer)
 
-    @classmethod
-    def of(cls, br: "_Branch") -> "_Snapshot":
-        """The branch's queued proposals: its unpopped inherited ones, then
-        its own, which were all pushed after it was cloned."""
-        snap, used, own = br.snap, br.used, br.own
-        if not used and not own:
-            return snap
-        ghat = snap.ghat.copy()
-        for key in used:
-            del ghat[key]
-        for key, (g, _) in own.items():
-            ghat[key] = g
-        return cls(ghat)
-
 
 _NO_PROPOSALS = _Snapshot({})
 
@@ -137,15 +117,13 @@ class _Branch:
     active: bool
     # The records no transition has gathered yet, in ``entries`` order.
     live: tuple[JEntry, ...]
-    # Queued proposals come in two parts.  The inherited ones are the
-    # entries of ``snap`` not in ``used`` (the snapshot keys this branch has
-    # popped), entry i under seq ``seq0 + i``.  ``own`` maps each key pushed
-    # to this branch since it was cloned to its (ghat, seq), in push order.
-    # A key sits in at most one part.
+    # ``own`` maps each queued key to its (ghat, seq), in seq order.  An
+    # inactive clone also queues the entries of ``snap``, entry i under seq
+    # ``seq0 + i``, before its own pushes; activation moves them into
+    # ``own``, so an active branch's ``snap`` is empty.
     snap: _Snapshot
     seq0: int
     own: Mapping[tuple[int, int], tuple[float, int]]
-    used: tuple[tuple[int, int], ...] = ()
     alive: bool = True
     # How many of its proposals the ready heap holds: while it is active,
     # those at or below its progress.
@@ -255,26 +233,26 @@ class ClusterSearch:
         return nb
 
     def _activate(self, br: _Branch) -> None:
-        # An inactive branch has popped nothing, so its whole snapshot is
-        # queued.
-        br.active = True
+        # Entry 0 keeps ``seq0`` itself, the int the waiting heaps may hold.
+        seq0 = br.seq0
+        own = {
+            key: (ghat, seq0 + i if i else seq0)
+            for i, (key, ghat) in enumerate(br.snap.ghat.items())
+        }
+        own.update(br.own)
+        br.own, br.snap, br.active = own, _NO_PROPOSALS, True
         self._make_ready(br, 0)
 
     def _advance(self, br: _Branch) -> None:
         """Mark the branch's lowest incomplete layer complete."""
         br.progress += 1
         if br.active:
-            # Every popped key lies below the new progress, so each snapshot
-            # entry at it is still queued.
             self._make_ready(br, br.progress)
 
     def _make_ready(self, br: _Branch, lo: int) -> None:
         """Push the branch's proposals at layers lo..progress to ``_ready``."""
         ready, bid, p = self._ready, br.id, br.progress
         before = len(ready)
-        for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0):
-            if lo <= key[1] <= p:
-                heapq.heappush(ready, (ghat, seq, bid, key))
         for key, (ghat, seq) in br.own.items():
             if lo <= key[1] <= p:
                 heapq.heappush(ready, (ghat, seq, bid, key))
@@ -306,10 +284,7 @@ class ClusterSearch:
             br = self.branches.get(bid)
             if br is not None:
                 br.n_ready -= 1
-                if key in br.own:
-                    del br.own[key]
-                else:
-                    br.used += (key,)
+                del br.own[key]
                 return br, key
         return None
 
@@ -351,7 +326,7 @@ class ClusterSearch:
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
                 key = (k, l)
-                if key not in br.own and (key not in br.snap.ghat or key in br.used):
+                if key not in br.own and key not in br.snap.ghat:
                     self._push(br, key, ghat_val)
 
     def _unassigned(self, br: _Branch) -> list[int]:
@@ -437,14 +412,12 @@ class ClusterSearch:
         z1 = {x for x in z_all if proposals[x] == [k]}
         combos = enumerate_combos(z_all, z1)
         # All descendants of a combo are assigned already, so the walk sees
-        # every path that could leave cluster k and come back.
+        # every path that could leave cluster k and come back.  The smallest
+        # combo always passes: it is empty, or at layer 0 a pinned leaf.
         combos = [c for c in combos if keeps_contiguity(dag, br.u, c, k)]
-        if not combos:
-            self._settle(br)
-            return []
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
-        snap = _Snapshot.of(br) if len(combos) > 1 else None
+        snap = _Snapshot({key: g for key, (g, _) in br.own.items()}) if len(combos) > 1 else None
         for combo in combos[1:]:
             nb = self._clone(br, snap)
             if l == 0:

@@ -25,6 +25,7 @@ from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
     ClusterSearch,
     ConfigError,
+    _NO_PROPOSALS,
     _Snapshot,
     enumerate_combos,
     partition_signature,
@@ -80,7 +81,7 @@ def test_combos_match_worked_example():
     )
     layers = assign_layers(d)
     model = BnComputationCost(d, layers)
-    res = search(d, layers, model, SearchConfig.enumeration())
+    res = search(d, layers, model, SearchConfig(prune_enabled=False))
     mapped = {
         tuple(s.mapping[d.id_of(n)] for n in ("X1", "X2", "X3"))
         for s in res.solutions
@@ -102,7 +103,7 @@ def test_engine_matches_oracle(fig1, fig1_layers, fig1_model):
 
 
 def test_engine_enumeration_mode(fig1, fig1_layers, fig1_model):
-    res = search(fig1, fig1_layers, fig1_model, SearchConfig.enumeration(seed=2))
+    res = search(fig1, fig1_layers, fig1_model, SearchConfig(prune_enabled=False, seed=2))
     assert res.report.branches_complete == 48
     mappings = {tuple(sorted(s.mapping.items())) for s in res.solutions}
     assert len(mappings) == 48
@@ -203,7 +204,7 @@ def test_closed_stream_stops_its_worker():
             return plain.heuristic(*args)
 
     before = set(threading.enumerate())
-    stream = stream_search(dag, layers, Slow(), SearchConfig.enumeration(max_iterations=10_000))
+    stream = stream_search(dag, layers, Slow(), SearchConfig(prune_enabled=False, max_iterations=10_000))
     next(stream)
     (worker,) = set(threading.enumerate()) - before
     stream.close()
@@ -256,7 +257,7 @@ def test_search_refuses_a_root_estimate_below_every_mapping(fig1, fig1_layers, f
     if run is search:
         assert capped.report.terminated_early and capped.report.optimal_cost is None
     # Unpruned, the same model finds every mapping.
-    assert run(fig1, fig1_layers, model, SearchConfig.enumeration(seed=0))
+    assert run(fig1, fig1_layers, model, SearchConfig(prune_enabled=False, seed=0))
 
 
 # -- white-box: queue, proposals, pruning ---------------------------------------------
@@ -264,10 +265,14 @@ def test_search_refuses_a_root_estimate_below_every_mapping(fig1, fig1_layers, f
 
 def _queued(br):
     """Every proposal the branch queues as (key, ghat, seq), in seq order:
-    the snapshot entries it has not popped, then its own pushes."""
-    snap = br.snap.ghat.items()
-    inherited = [(key, ghat, seq) for seq, (key, ghat) in enumerate(snap, br.seq0) if key not in br.used]
+    the snapshot entries (an inactive clone's), then its own."""
+    inherited = [(key, ghat, seq) for seq, (key, ghat) in enumerate(br.snap.ghat.items(), br.seq0)]
     return inherited + [(key, ghat, seq) for key, (ghat, seq) in br.own.items()]
+
+
+def _snapshot(br):
+    """The snapshot a cloning pop of the active branch ``br`` builds."""
+    return _Snapshot({key: ghat for key, (ghat, _) in br.own.items()})
 
 
 def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
@@ -306,7 +311,7 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
-    clone = cs._clone(br, _Snapshot.of(br))
+    clone = cs._clone(br, _snapshot(br))
     assert not clone.active
     assert [key for key, _, _ in _queued(clone)] == [key for key, _, _ in _queued(br)]
     assert all(c[2] > b[2] for c, b in zip(_queued(clone), _queued(br)))
@@ -329,7 +334,7 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     a = cs.branches[1]
-    snap = _Snapshot.of(a)
+    snap = _snapshot(a)
     b = cs._clone(a, snap)
     c = cs._clone(a, snap)
     assert (b.id, c.id) == (2, 3)
@@ -385,7 +390,16 @@ class _Instrumented(ClusterSearch):
             for b in self.branches.values()
             if b.active
         )
+        self._check_active_own_their_queue()
         return out
+
+    def _activate(self, br):
+        super()._activate(br)
+        self._check_active_own_their_queue()
+
+    def _check_active_own_their_queue(self):
+        # Activation moves a clone's snapshot entries into its own map.
+        assert all(b.snap is _NO_PROPOSALS for b in self.branches.values() if b.active)
 
 
 @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (0.5, 1), (1.0, 2)])
@@ -677,8 +691,9 @@ class _PerCloneCopy(ClusterSearch):
     """Keeps beside each branch the proposal map a per-clone copy builds: a
     push appends under the next seq, a pop deletes, and a clone re-keys its
     parent's map in order under fresh seqs from the same counter.  At each
-    activation the branch's queue must equal that map, seq for seq, and
-    each cloning pop must hand its clones one snapshot."""
+    activation the branch's queue must equal that map, seq for seq, with
+    no snapshot left on it, and each cloning pop must hand its clones one
+    snapshot."""
 
     def _init(self):
         self.copies = {}
@@ -715,9 +730,8 @@ class _PerCloneCopy(ClusterSearch):
         return nb
 
     def _activate(self, br):
-        snap = br.snap
         super()._activate(br)
-        assert br.snap is snap
+        assert br.snap is _NO_PROPOSALS
         expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
         assert _queued(br) == expect, (self.iteration, br.id)
         self.activations += 1
