@@ -108,8 +108,21 @@ _NO_OWN: Mapping[tuple[int, int], tuple[float, int]] = MappingProxyType({})
 
 
 @dataclass(slots=True)
+class _Base:
+    """A popped branch's assignment, copied once for the two or more
+    waiting clones its pop makes, and the count of those still waiting.
+    The last to activate adopts these objects."""
+
+    u: dict[int, int]
+    entries: list[JEntry]
+    g: dict[int, float]
+    waiting: int = 0
+
+
+@dataclass(slots=True)
 class _Branch:
     id: int
+    # u, entries and g are None in a waiting clone on a base (see ``delta``).
     u: dict[int, int]
     entries: list[JEntry]
     g: dict[int, float]  # per-layer cost increments
@@ -128,6 +141,9 @@ class _Branch:
     # How many of its proposals the ready heap holds: while it is active,
     # those at or below its progress.
     n_ready: int = 0
+    # A waiting clone on a base: (base, its record or None for the empty
+    # combo, its popped layer's cost); activation rebuilds u, entries, g.
+    delta: tuple[_Base, JEntry | None, float | None] | None = None
 
     def cum_g(self) -> float:
         return sum(self.g.values())
@@ -219,20 +235,39 @@ class ClusterSearch:
             heapq.heappush(self._ready, (ghat, seq, br.id, key))
             br.n_ready += 1
 
-    def _clone(self, br: _Branch, snap: _Snapshot) -> _Branch:
+    def _clone(self, br: _Branch, snap: _Snapshot, base: _Base | None) -> _Branch:
         """A new inactive copy of ``br`` that queues ``snap``, the popped
-        branch's proposals, under the next block of seqs."""
+        branch's proposals, under the next block of seqs.  It holds its own
+        copy of ``br``'s assignment, or none, waiting on ``base``."""
         self.branches_created += 1
+        if base is None:
+            u, entries, g, delta = dict(br.u), list(br.entries), dict(br.g), None
+        else:
+            u = entries = g = None
+            delta = (base, None, None)
         # Positional: binding keywords doubles the cost of this call.
         nb = _Branch(
-            self.branches_created, dict(br.u), list(br.entries), dict(br.g), br.progress,
-            False, br.live, snap, self._seq, _NO_OWN,
+            self.branches_created, u, entries, g, br.progress,
+            False, br.live, snap, self._seq, _NO_OWN, True, 0, delta,
         )
         self._seq += len(snap.ghat)
         self.branches[nb.id] = nb
         return nb
 
     def _activate(self, br: _Branch) -> None:
+        if br.delta is not None:
+            base, entry, g_l = br.delta
+            base.waiting -= 1
+            if base.waiting:
+                br.u, br.entries, br.g = dict(base.u), list(base.entries), dict(base.g)
+            else:
+                br.u, br.entries, br.g = base.u, base.entries, base.g
+            if entry is not None:
+                for x in entry.members:
+                    br.u[x] = entry.cluster
+                br.entries.append(entry)
+                br.g[entry.layer] = g_l
+            br.delta = None
         # Entry 0 keeps ``seq0`` itself, the int the waiting heaps may hold.
         seq0 = br.seq0
         own = {
@@ -418,8 +453,15 @@ class ClusterSearch:
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
         snap = _Snapshot({key: g for key, (g, _) in br.own.items()}) if len(combos) > 1 else None
+        # Two or more waiting clones share one copy of the popped assignment
+        # and are costed on it in place, one at a time; leaf-layer clones
+        # activate at once, so nothing is shared there.
+        base = None
+        if l and len(combos) > 2:
+            base = _Base(dict(br.u), list(br.entries), dict(br.g))
+            g_old = base.g.get(l)
         for combo in combos[1:]:
-            nb = self._clone(br, snap)
+            nb = self._clone(br, snap, base)
             if l == 0:
                 self._activate(nb)
             holders.append((nb, combo))
@@ -428,6 +470,8 @@ class ClusterSearch:
         for holder, combo in holders:
             if not combo:
                 continue
+            if holder.delta is not None:
+                holder.u, holder.entries, holder.g = base.u, base.entries, base.g
             t = self.model.transition(holder.u, holder.entries, k, l, combo, self._memo)
             assert t.cost > TOL, "transition cost must be strictly positive"
             entry = JEntry(k, l, combo, t.dims)
@@ -446,8 +490,22 @@ class ClusterSearch:
                 if l == layers.l_max:
                     emissions.append(self._emit(holder))
             self._propose_parents(holder, combo)
+            if holder.delta is not None:
+                # Keep the clone's delta and undo it on the base: its nodes
+                # were unassigned, and the layer's old cost comes back as it
+                # was, never by subtraction.
+                holder.delta = (base, base.entries.pop(), base.g[l])
+                for x in combo:
+                    del base.u[x]
+                if g_old is None:
+                    del base.g[l]
+                else:
+                    base.g[l] = g_old
+                holder.u = holder.entries = holder.g = None
         for holder, _ in holders:
             self._settle(holder)
+        if base is not None:
+            base.waiting = sum(h.id in self.branches for h, _ in holders[1:])
         return emissions
 
     def _settle(self, br: _Branch) -> None:

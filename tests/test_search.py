@@ -3,6 +3,7 @@ import io
 import itertools
 import os
 import random
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from dagclust import (
     stream_search,
 )
 from dagclust.cli import main as cli_main
+from dagclust.costs import JEntry
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
@@ -275,6 +277,18 @@ def _snapshot(br):
     return _Snapshot({key: ghat for key, (ghat, _) in br.own.items()})
 
 
+def _assignment(br):
+    """The branch's assignment: its own ``u``, or a waiting clone's base
+    plus its combo."""
+    if br.delta is None:
+        return br.u
+    base, entry, _ = br.delta
+    u = dict(base.u)
+    if entry is not None:
+        u.update(dict.fromkeys(entry.members, entry.cluster))
+    return u
+
+
 def test_fresh_search_leaf_entries_eligible(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
@@ -311,7 +325,7 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
-    clone = cs._clone(br, _snapshot(br))
+    clone = cs._clone(br, _snapshot(br), None)
     assert not clone.active
     assert [key for key, _, _ in _queued(clone)] == [key for key, _, _ in _queued(br)]
     assert all(c[2] > b[2] for c, b in zip(_queued(clone), _queued(br)))
@@ -335,8 +349,8 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
     cs._init()
     a = cs.branches[1]
     snap = _snapshot(a)
-    b = cs._clone(a, snap)
-    c = cs._clone(a, snap)
+    b = cs._clone(a, snap, None)
+    c = cs._clone(a, snap, None)
     assert (b.id, c.id) == (2, 3)
     a.g = {0: 35.2}
     b.g = {0: 36.0}
@@ -374,6 +388,7 @@ class _Instrumented(ClusterSearch):
         super().__init__(*a, **kw)
         self.gmin_trace = []
         self.popped_dead = 0
+        self.checked_assignments = 0
 
     def _process_pop(self, br, entry):
         if not br.alive:
@@ -391,6 +406,11 @@ class _Instrumented(ClusterSearch):
             if b.active
         )
         self._check_active_own_their_queue()
+        # No two held branches hold one assignment.
+        held = [tuple(sorted(_assignment(b).items())) for b in self.branches.values()]
+        held = [u for u in held if u]
+        assert len(set(held)) == len(held), self.iteration
+        self.checked_assignments += len(held)
         return out
 
     def _activate(self, br):
@@ -409,12 +429,7 @@ def test_run_invariants(fig1, fig1_layers, fig1_model, alpha, seed):
     assert cs.popped_dead == 0
     for prev, cur in zip(cs.gmin_trace, cs.gmin_trace[1:]):
         assert cur <= prev + 1e-9
-    live_u = {}
-    for b in cs.branches.values():
-        if b.alive and b.u:
-            key = tuple(sorted(b.u.items()))
-            assert key not in live_u or not b.alive
-            live_u[key] = b.id
+    assert cs.checked_assignments > 0
     assert res.report.iterations_total > 0
 
 
@@ -688,19 +703,24 @@ def test_inactive_branch_gains_proposals_only_in_its_cloning_pop():
 
 
 class _PerCloneCopy(ClusterSearch):
-    """Keeps beside each branch the proposal map a per-clone copy builds: a
-    push appends under the next seq, a pop deletes, and a clone re-keys its
-    parent's map in order under fresh seqs from the same counter.  At each
-    activation the branch's queue must equal that map, seq for seq, with
-    no snapshot left on it, and each cloning pop must hand its clones one
-    snapshot."""
+    """Keeps beside each branch what a per-clone copy builds.  Its proposal
+    map: a push appends under the next seq, a pop deletes, and a clone
+    re-keys its parent's map in order under fresh seqs from the same
+    counter.  Its assignment: a clone copies its parent's ``u``,
+    ``entries`` and ``g``, and its combo is costed and stored on that copy.
+    At each activation the branch's queue must equal that map, seq for seq,
+    with no snapshot left on it, and its assignment that copy, items and
+    insertion order both; each cloning pop must hand its clones one
+    snapshot, and the waiting clones of a pop with two or more clones one
+    base."""
 
     def _init(self):
         self.copies = {}
         self.seqs = itertools.count()
+        self.assigned = {}  # per clone not yet activated: its (u, entries, g)
         self.pop_snapshots = []  # per cloning pop: (clones, distinct snapshots)
-        self.activations = 0
-        self._snaps = None
+        self.shared_pops = self.activations = self.assignments_checked = 0
+        self._key = self._clones = None
         super()._init()
 
     def _push(self, br, key, ghat):
@@ -714,40 +734,92 @@ class _PerCloneCopy(ClusterSearch):
         return got
 
     def _process_pop(self, br, key):
-        self._snaps = []
+        self._key, self._clones = key, []
         try:
             return super()._process_pop(br, key)
         finally:
-            if self._snaps:
-                self.pop_snapshots.append((len(self._snaps), len({id(s) for s in self._snaps})))
-            self._snaps = None
+            clones, self._clones = self._clones, None
+            if clones:
+                snaps = {id(snap) for _, snap in clones}
+                self.pop_snapshots.append((len(clones), len(snaps)))
+                clones = [nb for nb, _ in clones]
+            waiting = [nb for nb in clones if not nb.active and nb.id in self.branches]
+            if len(clones) > 1 and waiting:
+                assert len({id(nb.delta[0]) for nb in waiting}) == 1, (self.iteration, key)
+                assert all(nb.u is nb.entries is nb.g is None for nb in waiting)
+                self.shared_pops += 1
+            else:
+                assert all(nb.delta is None for nb in clones)
 
-    def _clone(self, br, snap):
-        nb = super()._clone(br, snap)
-        self._snaps.append(snap)
+    def _clone(self, br, snap, base):
+        nb = super()._clone(br, snap, base)
+        self._clones.append((nb, snap))
         parent = self.copies.get(br.id, {})
         self.copies[nb.id] = {key: (ghat, next(self.seqs)) for key, (ghat, _) in parent.items()}
+        self.assigned[nb.id] = (dict(br.u), list(br.entries), dict(br.g))
         return nb
+
+    def _propose_parents(self, br, popped):
+        if br.id in self.assigned:
+            u, entries, g = self.assigned[br.id]
+            k, l = self._key
+            t = self.model.transition(u, entries, k, l, popped)
+            entries.append(JEntry(k, l, popped, t.dims))
+            for x in popped:
+                u[x] = k
+            g[l] = g.get(l, 0.0) + t.cost
+        super()._propose_parents(br, popped)
 
     def _activate(self, br):
         super()._activate(br)
         assert br.snap is _NO_PROPOSALS
         expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
         assert _queued(br) == expect, (self.iteration, br.id)
+        if br.id in self.assigned:
+            u, entries, g = self.assigned.pop(br.id)
+            assert list(br.u.items()) == list(u.items()), (self.iteration, br.id)
+            assert br.entries == entries, (self.iteration, br.id)
+            assert list(br.g.items()) == list(g.items()), (self.iteration, br.id)
+            self.assignments_checked += 1
         self.activations += 1
 
 
 def test_clones_share_one_snapshot_and_keep_the_copied_seqs():
     """On a 50-node anytime search the clones one pop makes hold one
-    snapshot object, and every activated clone queues exactly the (key,
-    ghat, seq) triples a per-clone copy of its parent's proposals gave."""
+    snapshot object, and the waiting ones one base; every activated clone
+    queues exactly the (key, ghat, seq) triples a per-clone copy of its
+    parent's proposals gave, and holds the assignment a per-clone copy of
+    its parent's gave once its combo was stored on it."""
     dag = generate_dag(GeneratorSpec(n=50, seed=3))
     layers = assign_layers(dag)
     cfg = SearchConfig(alpha=0.5, seed=0, max_iterations=300)
     cs = _PerCloneCopy(dag, layers, BnComputationCost(dag, layers), cfg)
     res = cs.run()
     assert res.report.iterations_total == 300 and res.solutions
-    assert cs.activations > 0
+    assert cs.activations > 0 and cs.assignments_checked > 0 and cs.shared_pops > 0
     assert all(distinct == 1 for _, distinct in cs.pop_snapshots)
     assert sum(clones for clones, _ in cs.pop_snapshots) == res.report.branches_created - 1
     assert any(clones > 1 for clones, _ in cs.pop_snapshots)
+
+
+def test_held_branches_share_their_assignments():
+    """After the 300-iteration anytime search on the n=50 seed-3 graph,
+    almost every held branch is a waiting clone; the objects holding the
+    held branches' assignments (``u``, ``entries`` and ``g``, or a waiting
+    clone's delta and its base's three), each counted once, take under 400
+    bytes per held branch.  A per-clone copy of the three took 1,624."""
+    dag = generate_dag(GeneratorSpec(n=50, seed=3))
+    layers = assign_layers(dag)
+    cs = ClusterSearch(dag, layers, BnComputationCost(dag, layers),
+                       SearchConfig(alpha=0.5, seed=0, max_iterations=300))
+    cs.run()
+    sizes = {}
+    for br in cs.branches.values():
+        if br.delta is None:
+            held = (br.u, br.entries, br.g)
+        else:
+            base, _, g_l = br.delta
+            held = (br.delta, base.u, base.entries, base.g, g_l)
+        sizes.update((id(o), sys.getsizeof(o)) for o in held if o is not None)
+    assert len(cs.branches) > 5000
+    assert sum(sizes.values()) / len(cs.branches) < 400
