@@ -68,7 +68,6 @@ class RunReport:
     branches_created: int
     branches_complete: int
     solutions_emitted: int
-    gmin: float
     terminated_early: bool
 
 
@@ -79,13 +78,23 @@ class SearchResult:
 
 
 class _Snapshot:
-    """A popped branch's queued proposals, frozen for the clones that pop
-    makes.  Every clone of the pop shares it; the clone whose block starts
-    at ``seq0`` queues entry i under seq ``seq0 + i``."""
+    """A popped branch's queued proposals and assignment, frozen for the
+    clones that pop makes.  Every clone of the pop shares it: the clone
+    whose block starts at ``seq0`` queues entry i under seq ``seq0 + i``,
+    and is costed on ``u``, ``entries`` and ``g`` in place.  The last of
+    the clones still waiting to activate adopts these three objects."""
 
-    __slots__ = ("ghat", "lo_ghat", "lo_ghat_at", "lo_layer", "lo_layer_at")
+    __slots__ = (
+        "ghat", "lo_ghat", "lo_ghat_at", "lo_layer", "lo_layer_at", "u", "entries", "g", "waiting",
+    )
 
-    def __init__(self, ghat: dict[tuple[int, int], float]):
+    def __init__(
+        self,
+        ghat: dict[tuple[int, int], float],
+        u: dict[int, int] | None = None,
+        entries: list[JEntry] | None = None,
+        g: dict[int, float] | None = None,
+    ):
         # Each key's ghat, in seq order; never changed once built.
         self.ghat = ghat
         # The lowest ghat and layer, each with the index of its first entry
@@ -97,6 +106,9 @@ class _Snapshot:
             self.lo_ghat_at = ghats.index(self.lo_ghat)
             self.lo_layer = min(layers)
             self.lo_layer_at = layers.index(self.lo_layer)
+        self.u, self.entries, self.g = u, entries, g
+        # How many of its clones are held and not yet active.
+        self.waiting = 0
 
 
 _NO_PROPOSALS = _Snapshot({})
@@ -108,21 +120,9 @@ _NO_OWN: Mapping[tuple[int, int], tuple[float, int]] = MappingProxyType({})
 
 
 @dataclass(slots=True)
-class _Base:
-    """A popped branch's assignment, copied once for the two or more
-    waiting clones its pop makes, and the count of those still waiting.
-    The last to activate adopts these objects."""
-
-    u: dict[int, int]
-    entries: list[JEntry]
-    g: dict[int, float]
-    waiting: int = 0
-
-
-@dataclass(slots=True)
 class _Branch:
     id: int
-    # u, entries and g are None in a waiting clone on a base (see ``delta``).
+    # u, entries and g are None in a waiting clone (see ``delta``).
     u: dict[int, int]
     entries: list[JEntry]
     g: dict[int, float]  # per-layer cost increments
@@ -141,9 +141,10 @@ class _Branch:
     # How many of its proposals the ready heap holds: while it is active,
     # those at or below its progress.
     n_ready: int = 0
-    # A waiting clone on a base: (base, its record or None for the empty
-    # combo, its popped layer's cost); activation rebuilds u, entries, g.
-    delta: tuple[_Base, JEntry | None, float | None] | None = None
+    # A waiting clone: (its record or None for the empty combo, its popped
+    # layer's cost); activation rebuilds u, entries and g as ``snap``'s
+    # plus these.
+    delta: tuple[JEntry | None, float | None] | None = None
 
     def cum_g(self) -> float:
         return sum(self.g.values())
@@ -235,44 +236,40 @@ class ClusterSearch:
             heapq.heappush(self._ready, (ghat, seq, br.id, key))
             br.n_ready += 1
 
-    def _clone(self, br: _Branch, snap: _Snapshot, base: _Base | None) -> _Branch:
-        """A new inactive copy of ``br`` that queues ``snap``, the popped
-        branch's proposals, under the next block of seqs.  It holds its own
-        copy of ``br``'s assignment, or none, waiting on ``base``."""
+    def _clone(self, br: _Branch, snap: _Snapshot) -> _Branch:
+        """A new waiting clone of ``br`` on ``snap``, the snapshot of the
+        pop that makes it: it queues the popped branch's proposals under the
+        next block of seqs and holds no assignment of its own."""
         self.branches_created += 1
-        if base is None:
-            u, entries, g, delta = dict(br.u), list(br.entries), dict(br.g), None
-        else:
-            u = entries = g = None
-            delta = (base, None, None)
+        snap.waiting += 1
         # Positional: binding keywords doubles the cost of this call.
         nb = _Branch(
-            self.branches_created, u, entries, g, br.progress,
-            False, br.live, snap, self._seq, _NO_OWN, True, 0, delta,
+            self.branches_created, None, None, None, br.progress,
+            False, br.live, snap, self._seq, _NO_OWN, True, 0, (None, None),
         )
         self._seq += len(snap.ghat)
         self.branches[nb.id] = nb
         return nb
 
     def _activate(self, br: _Branch) -> None:
-        if br.delta is not None:
-            base, entry, g_l = br.delta
-            base.waiting -= 1
-            if base.waiting:
-                br.u, br.entries, br.g = dict(base.u), list(base.entries), dict(base.g)
-            else:
-                br.u, br.entries, br.g = base.u, base.entries, base.g
-            if entry is not None:
-                for x in entry.members:
-                    br.u[x] = entry.cluster
-                br.entries.append(entry)
-                br.g[entry.layer] = g_l
-            br.delta = None
+        snap = br.snap
+        entry, g_l = br.delta
+        snap.waiting -= 1
+        if snap.waiting:
+            br.u, br.entries, br.g = dict(snap.u), list(snap.entries), dict(snap.g)
+        else:
+            br.u, br.entries, br.g = snap.u, snap.entries, snap.g
+        if entry is not None:
+            for x in entry.members:
+                br.u[x] = entry.cluster
+            br.entries.append(entry)
+            br.g[entry.layer] = g_l
+        br.delta = None
         # Entry 0 keeps ``seq0`` itself, the int the waiting heaps may hold.
         seq0 = br.seq0
         own = {
             key: (ghat, seq0 + i if i else seq0)
-            for i, (key, ghat) in enumerate(br.snap.ghat.items())
+            for i, (key, ghat) in enumerate(snap.ghat.items())
         }
         own.update(br.own)
         br.own, br.snap, br.active = own, _NO_PROPOSALS, True
@@ -411,24 +408,23 @@ class ClusterSearch:
                 "lies below every feasible mapping's cost, and the incumbent it seeds pruned "
                 "every branch"
             )
-        gmin_final = min((r.total_cost for r in solutions), default=float("inf"))
+        best = min((r.total_cost for r in solutions), default=None)
         first_optimal = None
         optimal_partitions = set()
         for rec in solutions:
-            if abs(rec.total_cost - gmin_final) <= TOL:
+            if abs(rec.total_cost - best) <= TOL:
                 rec.optimal = True
                 optimal_partitions.add(partition_signature(rec.mapping))
                 if first_optimal is None:
                     first_optimal = rec.iteration
         report = RunReport(
-            optimal_cost=gmin_final if solutions else None,
+            optimal_cost=best,
             optimal_solution_count=len(optimal_partitions),
             iterations_total=self.iteration,
             iteration_of_first_optimal=first_optimal,
             branches_created=self.branches_created,
             branches_complete=len(solutions),
             solutions_emitted=len(solutions),
-            gmin=gmin_final,
             terminated_early=terminated_early,
         )
         return SearchResult(solutions=solutions, report=report)
@@ -452,26 +448,21 @@ class ClusterSearch:
         combos = [c for c in combos if keeps_contiguity(dag, br.u, c, k)]
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
-        snap = _Snapshot({key: g for key, (g, _) in br.own.items()}) if len(combos) > 1 else None
-        # Two or more waiting clones share one copy of the popped assignment
-        # and are costed on it in place, one at a time; leaf-layer clones
-        # activate at once, so nothing is shared there.
-        base = None
-        if l and len(combos) > 2:
-            base = _Base(dict(br.u), list(br.entries), dict(br.g))
-            g_old = base.g.get(l)
-        for combo in combos[1:]:
-            nb = self._clone(br, snap, base)
-            if l == 0:
-                self._activate(nb)
-            holders.append((nb, combo))
+        if len(combos) > 1:
+            # Every clone waits on one snapshot of the popped branch and is
+            # costed on its assignment in place, one at a time.
+            snap = _Snapshot(
+                {key: g for key, (g, _) in br.own.items()}, dict(br.u), list(br.entries), dict(br.g)
+            )
+            g_old = snap.g.get(l)
+            holders += [(self._clone(br, snap), combo) for combo in combos[1:]]
 
         emissions: list[SolutionRecord] = []
         for holder, combo in holders:
             if not combo:
                 continue
-            if holder.delta is not None:
-                holder.u, holder.entries, holder.g = base.u, base.entries, base.g
+            if holder is not br:
+                holder.u, holder.entries, holder.g = snap.u, snap.entries, snap.g
             t = self.model.transition(holder.u, holder.entries, k, l, combo, self._memo)
             assert t.cost > TOL, "transition cost must be strictly positive"
             entry = JEntry(k, l, combo, t.dims)
@@ -490,22 +481,20 @@ class ClusterSearch:
                 if l == layers.l_max:
                     emissions.append(self._emit(holder))
             self._propose_parents(holder, combo)
-            if holder.delta is not None:
-                # Keep the clone's delta and undo it on the base: its nodes
-                # were unassigned, and the layer's old cost comes back as it
-                # was, never by subtraction.
-                holder.delta = (base, base.entries.pop(), base.g[l])
+            if holder is not br:
+                # Keep the clone's delta and undo it on the snapshot: its
+                # nodes were unassigned, and the layer's old cost comes back
+                # as it was, never by subtraction.
+                holder.delta = (snap.entries.pop(), snap.g[l])
                 for x in combo:
-                    del base.u[x]
+                    del snap.u[x]
                 if g_old is None:
-                    del base.g[l]
+                    del snap.g[l]
                 else:
-                    base.g[l] = g_old
+                    snap.g[l] = g_old
                 holder.u = holder.entries = holder.g = None
         for holder, _ in holders:
             self._settle(holder)
-        if base is not None:
-            base.waiting = sum(h.id in self.branches for h, _ in holders[1:])
         return emissions
 
     def _settle(self, br: _Branch) -> None:
@@ -521,6 +510,8 @@ class ClusterSearch:
             can_pop = bool(br.snap.ghat or br.own)
         if br.progress > self.layers.l_max or not can_pop:
             del self.branches[br.id]
+            if not br.active:
+                br.snap.waiting -= 1
         elif not br.active:
             self._index_waiting(br)
 

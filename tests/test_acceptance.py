@@ -284,7 +284,7 @@ def test_criterion_8_generated_scale_study():
         except CapExceededError:
             pass  # search space above the cap: clause is vacuous here
         else:
-            oracle_agreements.append(res.report.gmin >= best - TOL)
+            oracle_agreements.append(res.report.optimal_cost >= best - TOL)
     # the oracle clause must be demonstrated somewhere: a 10-node graph
     dag = generate_dag(GeneratorSpec(n=10, seed=6, rewire=0.2, extra_arc_rate=0.4))
     layers = assign_layers(dag)

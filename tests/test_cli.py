@@ -118,8 +118,22 @@ def test_search_tsv_json_parity():
         assert float(row["gmin"]) == sol["gmin"]
     gmins = [sol["gmin"] for sol in payload["solutions"]]
     assert gmins[0] == payload["solutions"][0]["total_cost"]
-    assert gmins[-1] == payload["report"]["gmin"]
+    assert gmins[-1] == payload["report"]["optimal_cost"]
     assert gmins[0] > gmins[-1]
+
+
+def test_search_json_without_solutions_is_strict_json():
+    """A search capped before its first solution still prints valid JSON:
+    no Infinity or NaN, which strict parsers reject."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    code, js = run_cli("search", FIG1, "--max-iters", "0", "--format", "json")
+    assert code == 0
+    payload = json.loads(js, parse_constant=refuse)
+    assert payload["solutions"] == []
+    assert payload["report"]["optimal_cost"] is None
 
 
 def test_search_reference_unreadable(tmp_path, capsys):

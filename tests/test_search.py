@@ -274,16 +274,18 @@ def _queued(br):
 
 def _snapshot(br):
     """The snapshot a cloning pop of the active branch ``br`` builds."""
-    return _Snapshot({key: ghat for key, (ghat, _) in br.own.items()})
+    return _Snapshot(
+        {key: ghat for key, (ghat, _) in br.own.items()}, dict(br.u), list(br.entries), dict(br.g)
+    )
 
 
 def _assignment(br):
-    """The branch's assignment: its own ``u``, or a waiting clone's base
-    plus its combo."""
+    """The branch's assignment: its own ``u``, or a waiting clone's
+    snapshot's plus its combo."""
     if br.delta is None:
         return br.u
-    base, entry, _ = br.delta
-    u = dict(base.u)
+    entry, _ = br.delta
+    u = dict(br.snap.u)
     if entry is not None:
         u.update(dict.fromkeys(entry.members, entry.cluster))
     return u
@@ -325,7 +327,7 @@ def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
     br = cs.branches[1]
-    clone = cs._clone(br, _snapshot(br), None)
+    clone = cs._clone(br, _snapshot(br))
     assert not clone.active
     assert [key for key, _, _ in _queued(clone)] == [key for key, _, _ in _queued(br)]
     assert all(c[2] > b[2] for c, b in zip(_queued(clone), _queued(br)))
@@ -349,8 +351,8 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
     cs._init()
     a = cs.branches[1]
     snap = _snapshot(a)
-    b = cs._clone(a, snap, None)
-    c = cs._clone(a, snap, None)
+    b = cs._clone(a, snap)
+    c = cs._clone(a, snap)
     assert (b.id, c.id) == (2, 3)
     a.g = {0: 35.2}
     b.g = {0: 36.0}
@@ -393,7 +395,11 @@ class _Instrumented(ClusterSearch):
     def _process_pop(self, br, entry):
         if not br.alive:
             self.popped_dead += 1
+        created = self.branches_created
         out = super()._process_pop(br, entry)
+        # Layer 0 holds exactly the leaves, each pinned to its founding
+        # label, so a leaf pop has one combo and clones nothing.
+        assert entry[1] or self.branches_created == created, (self.iteration, entry)
         self.gmin_trace.append(self.gmin)
         # Only a branch's own pop adds proposals or moves its progress, so
         # one that can never pop again is dropped when its pop ends: an
@@ -710,16 +716,16 @@ class _PerCloneCopy(ClusterSearch):
     ``entries`` and ``g``, and its combo is costed and stored on that copy.
     At each activation the branch's queue must equal that map, seq for seq,
     with no snapshot left on it, and its assignment that copy, items and
-    insertion order both; each cloning pop must hand its clones one
-    snapshot, and the waiting clones of a pop with two or more clones one
-    base."""
+    insertion order both; each cloning pop must hand all its clones one
+    snapshot, and leave them waiting with no assignment of their own, the
+    snapshot counting those still held."""
 
     def _init(self):
         self.copies = {}
         self.seqs = itertools.count()
         self.assigned = {}  # per clone not yet activated: its (u, entries, g)
-        self.pop_snapshots = []  # per cloning pop: (clones, distinct snapshots)
-        self.shared_pops = self.activations = self.assignments_checked = 0
+        self.pop_clones = []  # per cloning pop: its number of clones
+        self.activations = self.assignments_checked = self.adoptions = self.dropped = 0
         self._key = self._clones = None
         super()._init()
 
@@ -740,20 +746,16 @@ class _PerCloneCopy(ClusterSearch):
         finally:
             clones, self._clones = self._clones, None
             if clones:
-                snaps = {id(snap) for _, snap in clones}
-                self.pop_snapshots.append((len(clones), len(snaps)))
-                clones = [nb for nb, _ in clones]
-            waiting = [nb for nb in clones if not nb.active and nb.id in self.branches]
-            if len(clones) > 1 and waiting:
-                assert len({id(nb.delta[0]) for nb in waiting}) == 1, (self.iteration, key)
-                assert all(nb.u is nb.entries is nb.g is None for nb in waiting)
-                self.shared_pops += 1
-            else:
-                assert all(nb.delta is None for nb in clones)
+                assert len({id(nb.snap) for nb in clones}) == 1, (self.iteration, key)
+                assert all(not nb.active and nb.u is nb.entries is nb.g is None for nb in clones)
+                waiting = clones[0].snap.waiting
+                assert waiting == sum(nb.id in self.branches for nb in clones), (self.iteration, key)
+                self.dropped += len(clones) - waiting
+                self.pop_clones.append(len(clones))
 
-    def _clone(self, br, snap, base):
-        nb = super()._clone(br, snap, base)
-        self._clones.append((nb, snap))
+    def _clone(self, br, snap):
+        nb = super()._clone(br, snap)
+        self._clones.append(nb)
         parent = self.copies.get(br.id, {})
         self.copies[nb.id] = {key: (ghat, next(self.seqs)) for key, (ghat, _) in parent.items()}
         self.assigned[nb.id] = (dict(br.u), list(br.entries), dict(br.g))
@@ -771,7 +773,9 @@ class _PerCloneCopy(ClusterSearch):
         super()._propose_parents(br, popped)
 
     def _activate(self, br):
+        snap = br.snap
         super()._activate(br)
+        self.adoptions += br.u is snap.u
         assert br.snap is _NO_PROPOSALS
         expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
         assert _queued(br) == expect, (self.iteration, br.id)
@@ -785,28 +789,58 @@ class _PerCloneCopy(ClusterSearch):
 
 
 def test_clones_share_one_snapshot_and_keep_the_copied_seqs():
-    """On a 50-node anytime search the clones one pop makes hold one
-    snapshot object, and the waiting ones one base; every activated clone
-    queues exactly the (key, ghat, seq) triples a per-clone copy of its
-    parent's proposals gave, and holds the assignment a per-clone copy of
-    its parent's gave once its combo was stored on it."""
+    """On a 50-node anytime search the clones one pop makes wait on one
+    snapshot object; every activated clone queues exactly the (key, ghat,
+    seq) triples a per-clone copy of its parent's proposals gave, and holds
+    the assignment a per-clone copy of its parent's gave once its combo was
+    stored on it, whether it copied the snapshot's or adopted it."""
     dag = generate_dag(GeneratorSpec(n=50, seed=3))
     layers = assign_layers(dag)
     cfg = SearchConfig(alpha=0.5, seed=0, max_iterations=300)
     cs = _PerCloneCopy(dag, layers, BnComputationCost(dag, layers), cfg)
     res = cs.run()
     assert res.report.iterations_total == 300 and res.solutions
-    assert cs.activations > 0 and cs.assignments_checked > 0 and cs.shared_pops > 0
-    assert all(distinct == 1 for _, distinct in cs.pop_snapshots)
-    assert sum(clones for clones, _ in cs.pop_snapshots) == res.report.branches_created - 1
-    assert any(clones > 1 for clones, _ in cs.pop_snapshots)
+    assert cs.activations > 0 and cs.assignments_checked > 0
+    assert 0 < cs.adoptions < cs.assignments_checked
+    assert sum(cs.pop_clones) == res.report.branches_created - 1
+    assert 1 in cs.pop_clones and any(n > 1 for n in cs.pop_clones)
+
+
+def test_lone_clone_adopts_its_snapshot(fig1, fig1_layers, fig1_model):
+    """Popped by hand on fig1 until a pop makes one clone that is held, the
+    lone clone waits on its snapshot alone, and activating it takes the
+    snapshot's ``u``, ``entries`` and ``g`` without copying them, holding
+    what a per-clone copy holds."""
+    cs = _PerCloneCopy(fig1, fig1_layers, fig1_model, SearchConfig())
+    cs._init()
+    while True:
+        br, key = cs._take_ready()
+        cs.iteration += 1
+        first = cs.branches_created + 1
+        cs._process_pop(br, key)
+        if cs.branches_created == first and first in cs.branches:
+            break
+    clone = cs.branches[first]
+    snap = clone.snap
+    assert snap.waiting == 1 and clone.u is None
+    cs._activate(clone)
+    assert clone.u is snap.u and clone.entries is snap.entries and clone.g is snap.g
+    assert cs.assignments_checked == 1
+
+
+def test_snapshot_counts_the_clones_still_waiting(fig1, fig1_layers, fig1_model):
+    """To termination on fig1, some clones leave when their pop ends, done
+    or with nothing queued, and each snapshot counts only the held ones."""
+    cs = _PerCloneCopy(fig1, fig1_layers, fig1_model, SearchConfig(alpha=0.5, seed=0))
+    assert not cs.run().report.terminated_early
+    assert cs.dropped > 0 and cs.adoptions > 0
 
 
 def test_held_branches_share_their_assignments():
     """After the 300-iteration anytime search on the n=50 seed-3 graph,
     almost every held branch is a waiting clone; the objects holding the
     held branches' assignments (``u``, ``entries`` and ``g``, or a waiting
-    clone's delta and its base's three), each counted once, take under 400
+    clone's delta and its snapshot's three), each counted once, take under 400
     bytes per held branch.  A per-clone copy of the three took 1,624."""
     dag = generate_dag(GeneratorSpec(n=50, seed=3))
     layers = assign_layers(dag)
@@ -818,8 +852,8 @@ def test_held_branches_share_their_assignments():
         if br.delta is None:
             held = (br.u, br.entries, br.g)
         else:
-            base, _, g_l = br.delta
-            held = (br.delta, base.u, base.entries, base.g, g_l)
+            _, g_l = br.delta
+            held = (br.delta, br.snap.u, br.snap.entries, br.snap.g, g_l)
         sizes.update((id(o), sys.getsizeof(o)) for o in held if o is not None)
     assert len(cs.branches) > 5000
     assert sum(sizes.values()) / len(cs.branches) < 400
