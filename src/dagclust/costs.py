@@ -128,11 +128,14 @@ class CostModel(Protocol):
     walk, a whole mapping in ``evaluate_mapping``), and the result must not
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
-    a costed parent yet.  Last, it passes ``transition`` one ``StepMemo``
-    that lives for one search run, as the oracle's walk passes one per
-    walk and ``optimal_set`` one per repricing of its winners: the model
-    may keep memoised work there, never on itself.  A model may ignore the
-    memo.
+    a costed parent yet, and estimates only when it queues a new proposal.
+    Last, it passes ``transition`` and every estimate below the root one
+    ``StepMemo`` that lives for one search run, as the oracle's walk passes
+    one per walk and ``optimal_set`` one per repricing of its winners: the
+    model may keep memoised work there.  On itself it may keep only
+    constants of its graph and weights, such as the root estimate's
+    feasible total; never anything a search run builds.  A model may ignore
+    the memo.
     """
 
     weights: OpCostWeights
@@ -152,6 +155,7 @@ class CostModel(Protocol):
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
+        memo: StepMemo | None = None,
     ) -> float: ...
 
 
@@ -172,6 +176,11 @@ class BnComputationCost:
             key=lambda x: (layers.of(x), table_size(dag.scope(x), dag.states), x),
         )
         self._sweep_rank = {x: r for r, x in enumerate(order)}
+        # The founding-label mapping's total, a constant of the graph and
+        # weights, priced at the first root estimate rather than here, so
+        # that building a model stays cheap.  Threads that race to price it
+        # store the same float.
+        self._founding_total: float | None = None
 
     # -- transition ---------------------------------------------------------
 
@@ -222,6 +231,7 @@ class BnComputationCost:
         remaining: Iterable[int],
         live: Sequence[JEntry],
         u: dict[int, int] | None = None,
+        memo: StepMemo | None = None,
     ) -> float:
         """Completion estimate for the unassigned nodes: one backward
         elimination sweep that folds the live records into one chain and
@@ -229,19 +239,26 @@ class BnComputationCost:
         remaining, no live record) it is raised to the total of the
         founding-label mapping, a feasible mapping, so the root estimate
         can seed the incumbent.  Refuses a remaining node with a child
-        neither remaining nor assigned in ``u``."""
+        neither remaining nor assigned in ``u``, which maps node ids.
+        ``memo`` keeps the fold of each set of live records across the
+        calls that share it."""
         rem = set(remaining)
         self._refuse_unassigned_children(rem, u or {})
-        sweep = self._sweep_estimate(rem, live)
+        sweep = self._sweep_estimate(rem, live, memo)
         if live or len(rem) < self.dag.n:
             return sweep
-        labels = founding_labels(self.dag, self.layers)
-        return max(sweep, evaluate_mapping(self.dag, self.layers, self, labels).total)
+        if self._founding_total is None:
+            labels = founding_labels(self.dag, self.layers)
+            self._founding_total = evaluate_mapping(self.dag, self.layers, self, labels).total
+        return max(sweep, self._founding_total)
 
     def _refuse_unassigned_children(self, rem: set[int], u: dict[int, int]) -> None:
         """Name the lowest (layer, id) remaining node with a child neither
         remaining nor assigned, and its first such child."""
         dag = self.dag
+        if len(rem) + len(u) == dag.n and rem.isdisjoint(u) and all(u.values()):
+            # Every node is remaining or assigned, so no child is neither.
+            return
         outside = set().union(*map(dag.children, rem))
         outside -= rem
         if all(map(u.get, outside)):
@@ -252,11 +269,22 @@ class BnComputationCost:
             c = next(c for c in dag.children(z) if c not in rem and not u.get(c))
             raise ValidationError(f"child {dag.name(c)} of {dag.name(z)} not yet assigned")
 
-    def _sweep_estimate(self, remaining: set[int], live: Sequence[JEntry]) -> float:
+    def _sweep_estimate(
+        self, remaining: set[int], live: Sequence[JEntry], memo: StepMemo | None = None
+    ) -> float:
         scope, states, w = self.dag.scope, self.dag.states, self.weights
-        acc, cost = fold([(e.dims, e.layer, e.cluster) for e in live], None, (), states, w)
-        size = table_size(acc, states)
-        acc = set(acc)
+        # The live records' fold, as (dims, table size, cost), is kept under
+        # their parts alone: a transition's key starts with its node set, so
+        # the two kinds of key never meet.
+        parts = tuple((e.dims, e.layer, e.cluster) for e in live)
+        folded = None if memo is None else memo.steps.get(parts)
+        if folded is None:
+            dims, cost = fold(parts, None, (), states, w)
+            folded = (dims, table_size(dims, states), cost)
+            if memo is not None:
+                memo.store(parts, (memo.share(dims), *folded[1:]))
+        dims, size, cost = folded
+        acc = set(dims)
         # Multiply each node's table (the node and its parents) in and sum
         # the node out, carrying the accumulator's table size as an integer.
         for x in sorted(remaining, key=self._sweep_rank.__getitem__):

@@ -204,7 +204,7 @@ class ClusterSearch:
         self.iteration = 0
         self._seq = 0  # the next seq to hand out
         self._last_improvement = 0
-        # The model's memo for transitions; lives for one run.
+        # The model's memo for transitions and estimates; lives for one run.
         self._memo: StepMemo | None = StepMemo()
         h_all = self.model.heuristic(self.dag.node_ids(), [])
         self.gmin = h_all
@@ -350,16 +350,20 @@ class ClusterSearch:
     # -- proposals -----------------------------------------------------------------
 
     def _propose_parents(self, br: _Branch, popped: frozenset[int]) -> None:
-        parents = sorted(frozenset().union(*map(self.dag.parents, popped)))
-        if not parents:
-            return
-        ghat_val = br.cum_g() + self.model.heuristic(self._unassigned(br), br.live, br.u)
-        for p in parents:
+        """Queue each parent proposal the branch does not hold yet, all
+        under one ghat, estimated at the first push: the queue reads no
+        other."""
+        ghat = None
+        for p in sorted(frozenset().union(*map(self.dag.parents, popped))):
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
                 key = (k, l)
                 if key not in br.own and key not in br.snap.ghat:
-                    self._push(br, key, ghat_val)
+                    if ghat is None:
+                        ghat = br.cum_g() + self.model.heuristic(
+                            self._unassigned(br), br.live, br.u, self._memo
+                        )
+                    self._push(br, key, ghat)
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self._from_layer[br.progress] if not br.u.get(x)]
@@ -440,6 +444,10 @@ class ClusterSearch:
             if not br.u.get(x)
         }
         z_all = {x for x, ks in proposals.items() if k in ks}
+        if not z_all:
+            # Only the empty combo, which places nothing.
+            self._settle(br)
+            return []
         z1 = {x for x in z_all if proposals[x] == [k]}
         combos = enumerate_combos(z_all, z1)
         # All descendants of a combo are assigned already, so the walk sees

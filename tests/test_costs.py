@@ -10,7 +10,8 @@ from dagclust import (
     parse_dag_text,
     seven_node_example,
 )
-from dagclust.costs import layer_transitions
+from dagclust import costs as costs_module
+from dagclust.costs import StepMemo, layer_transitions
 from dagclust.dag import founding_labels
 from dagclust.factors import (
     Marginalize,
@@ -143,6 +144,30 @@ def test_heuristic_upper_bounds_singleton_completion():
         assert model.heuristic(dag.node_ids(), []) >= total
 
 
+def test_root_estimate_prices_the_founding_mapping_once(monkeypatch):
+    """The founding-label total is kept on the model from its first root
+    estimate: a second root estimate returns the same float without
+    pricing the mapping again."""
+    dag = generate_dag(GeneratorSpec(n=30, seed=2))
+    layers = assign_layers(dag)
+    model = BnComputationCost(dag, layers)
+    priced = []
+
+    def counting(*args, **kwargs):
+        priced.append(args)
+        return evaluate_mapping(*args, **kwargs)
+
+    monkeypatch.setattr(costs_module, "evaluate_mapping", counting)
+    first = model.heuristic(dag.node_ids(), [])
+    assert len(priced) == 1
+    assert first == max(
+        model._sweep_estimate(set(dag.node_ids()), []),
+        evaluate_mapping(dag, layers, model, founding_labels(dag, layers)).total,
+    )
+    assert model.heuristic(dag.node_ids(), [], {}, StepMemo()) == first
+    assert len(priced) == 1
+
+
 # -- the estimate against a plain one ----------------------------------------------
 
 
@@ -226,35 +251,47 @@ def _estimate_runs():
 
 def test_memoised_estimate_equals_reference():
     """On every state real searches estimate from, the estimate equals the
-    plain one exactly; a child neither assigned nor remaining is refused
-    with the same error, on small graphs and on a 50-node one."""
-    states = refused = 0
+    plain one exactly, alone and through one memo shared in log order, which
+    keeps fewer folds than there are states; a child neither assigned nor
+    remaining is refused with the same error, on small graphs and on a
+    50-node one."""
+    states = refused = folds = 0
     for dag, cfg, refusals in _estimate_runs():
         layers = assign_layers(dag)
         model = BnComputationCost(dag, layers)
         cs = _StateLog(dag, layers, model, cfg)
         cs.log = [(list(dag.node_ids()), [], {})]
         cs.run()
+        # Once each, and again through one memo shared in log order, as
+        # the run shares its own.
+        memo = StepMemo()
         for remaining, live, u in cs.log:
-            assert model.heuristic(remaining, live, u) == _plain_heuristic(model, remaining, live, u)
+            expect = _plain_heuristic(model, remaining, live, u)
+            assert model.heuristic(remaining, live, u) == expect
+            assert model.heuristic(remaining, live, u, memo) == expect
+        assert_stored_once(memo)
         states += len(cs.log)
+        folds += len(memo.steps)
         if not refusals:
             continue
         # Leave one node out of a fresh completion: each of its parents
-        # then has a child neither assigned nor remaining.
+        # then has a child neither assigned nor remaining, also when the
+        # node maps to no cluster or a remaining node is assigned instead,
+        # which leave every node counted once.
         for x in dag.node_ids():
             rest = [y for y in dag.node_ids() if y != x]
-            try:
-                expect = _plain_heuristic(model, rest, [], {})
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as got:
-                    model.heuristic(rest, [], {})
-                assert str(got.value) == str(exc)
-                refused += dag.n == 50
-            else:
-                assert not dag.parents(x)
-                assert model.heuristic(rest, [], {}) == expect
-    assert states > 1000
+            for u in ({}, {x: 0}, {rest[0]: 1}):
+                try:
+                    expect = _plain_heuristic(model, rest, [], u)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError) as got:
+                        model.heuristic(rest, [], u)
+                    assert str(got.value) == str(exc)
+                    refused += dag.n == 50
+                else:
+                    assert not dag.parents(x)
+                    assert model.heuristic(rest, [], u) == expect
+    assert states > 1000 and folds < states
     assert refused > 20
 
 

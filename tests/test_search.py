@@ -22,6 +22,7 @@ from dagclust import (
 )
 from dagclust.cli import main as cli_main
 from dagclust.costs import JEntry
+from dagclust.dag import keeps_contiguity, proposal_clusters
 from dagclust.generator import GeneratorSpec, generate_dag
 from dagclust.oracle import enumerate_feasible, optimal_set
 from dagclust.search import (
@@ -323,6 +324,111 @@ def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
     assert _queued(br) == before
 
 
+class _Counting:
+    """Cost model proxy that counts its transitions and estimates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.weights = inner.weights
+        self.transitions = self.estimates = 0
+
+    def transition(self, *args):
+        self.transitions += 1
+        return self.inner.transition(*args)
+
+    def heuristic(self, *args):
+        self.estimates += 1
+        return self.inner.heuristic(*args)
+
+
+class _EmptyPops(ClusterSearch):
+    """Checks that a pop which no unassigned node of its layer can join
+    walks no contiguity and costs, estimates and clones nothing, and keeps
+    the iterations of such pops.  ``walks`` counts the contiguity checks."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.empty = []
+        self.walks = 0
+
+    def _process_pop(self, br, key):
+        k, l = key
+        places = any(
+            k in proposal_clusters(self.dag, self.labels, br.u, x)
+            for x in self.layers.members.get(l, ())
+            if not br.u.get(x)
+        )
+        model = self.model
+        before = (self.walks, model.transitions, model.estimates, self.branches_created)
+        out = super()._process_pop(br, key)
+        if not places:
+            assert (self.walks, model.transitions, model.estimates, self.branches_created) == before
+            assert out == []
+            self.empty.append(self.iteration)
+        return out
+
+
+def test_pop_that_places_no_node_only_counts(fig1, monkeypatch):
+    """A pop that can place no node walks no contiguity, costs no
+    transition, makes no estimate and creates no branch, yet counts as one
+    iteration."""
+    for dag in (fig1, random_test_dag(1007, n=10)):
+        layers = assign_layers(dag)
+        model = _Counting(BnComputationCost(dag, layers))
+        cs = _EmptyPops(dag, layers, model, SearchConfig(seed=0))
+
+        def walk(*args, cs=cs):
+            cs.walks += 1
+            return keeps_contiguity(*args)
+
+        # ``dagclust.search`` as an attribute of the package is the function.
+        monkeypatch.setattr(sys.modules["dagclust.search"], "keeps_contiguity", walk)
+        cs.run()
+        monkeypatch.undo()
+        assert cs.walks
+        assert cs.empty
+        counts = []
+        for cap in (cs.empty[0] - 1, cs.empty[0]):
+            model.transitions = model.estimates = 0
+            capped = ClusterSearch(dag, layers, model, SearchConfig(seed=0, max_iterations=cap))
+            capped.run()
+            counts.append((capped.iteration, capped.branches_created, model.transitions, model.estimates))
+        before, after = counts
+        assert after == (before[0] + 1, *before[1:])
+
+
+class _EstimateAudit(ClusterSearch):
+    """Checks that each ``_propose_parents`` call estimates once if it
+    queues a new proposal and never otherwise."""
+
+    pushing = idle = 0
+
+    def _propose_parents(self, br, popped):
+        estimates, seq = self.model.estimates, self._seq
+        super()._propose_parents(br, popped)
+        pushed = self._seq > seq
+        assert self.model.estimates - estimates == pushed
+        self.pushing += pushed
+        self.idle += not pushed
+
+
+def test_search_estimates_only_what_it_queues():
+    """Over whole runs, the root estimate and one per proposing call that
+    queues something are the only estimates."""
+    pushing = idle = 0
+    runs = [(random_test_dag(1000 + gi, n=3 + gi % 8), SearchConfig(alpha=0.5, seed=0)) for gi in range(10)]
+    runs.append((generate_dag(GeneratorSpec(n=50, seed=1)), SearchConfig(seed=0, max_iterations=150)))
+    for dag, cfg in runs:
+        layers = assign_layers(dag)
+        model = _Counting(BnComputationCost(dag, layers))
+        cs = _EstimateAudit(dag, layers, model, cfg)
+        cs.run()
+        assert model.estimates == 1 + cs.pushing
+        pushing += cs.pushing
+        idle += cs.idle
+    assert pushing > 0 and idle > 0
+
+
 def test_inactive_branch_entries_excluded(fig1, fig1_layers, fig1_model):
     cs = ClusterSearch(fig1, fig1_layers, fig1_model, SearchConfig())
     cs._init()
@@ -523,8 +629,14 @@ def test_estimate_memo_is_per_search():
         return {k: (v, dict(v) if isinstance(v, dict) else None) for k, v in vars(model).items()}
 
     # The model builds its node table with itself, so a search, which may
-    # run on a worker thread, adds nothing to it.
+    # run on a worker thread, adds nothing to it.  The one constant it keeps
+    # from a first root estimate, the founding-label total, is a fact of
+    # the graph and weights, not of a run.
+    fresh = snapshot()
+    root = model.heuristic(dag.node_ids(), [])
     before = snapshot()
+    assert before.keys() == fresh.keys()
+    assert [k for k in before if before[k] != fresh[k]] == ["_founding_total"]
     runs = []
     for _ in range(2):
         cs = ClusterSearch(dag, layers, model, SearchConfig(seed=0, max_iterations=150))
@@ -537,6 +649,7 @@ def test_estimate_memo_is_per_search():
         (s.iteration, s.branch, s.total_cost, s.mapping) for s in b.solutions
     ]
     assert snapshot() == before
+    assert model.heuristic(dag.node_ids(), []) == root
 
     fig1_path = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
     rows = []
@@ -548,13 +661,14 @@ def test_estimate_memo_is_per_search():
 
 
 def test_search_drops_its_memo_after_run():
-    """A run hands its transitions one memo, and once the run ends nothing
-    but the caller's own reference holds it: not the search, not its
-    model."""
+    """A run hands its transitions and every estimate but the root one one
+    memo, and once the run ends nothing but the caller's own reference
+    holds it: not the search, not its model."""
     dag = generate_dag(GeneratorSpec(n=12, seed=3))
     layers = assign_layers(dag)
     plain = BnComputationCost(dag, layers)
     seen = []
+    estimated = []
 
     class Recording:
         weights = plain.weights
@@ -563,15 +677,20 @@ def test_search_drops_its_memo_after_run():
             seen.append(memo)
             return plain.transition(u, entries, cluster, layer, zset, memo)
 
-        def heuristic(self, remaining, live, u=None):
-            return plain.heuristic(remaining, live, u)
+        def heuristic(self, remaining, live, u=None, memo=None):
+            estimated.append(memo)
+            return plain.heuristic(remaining, live, u, memo)
 
     cs = ClusterSearch(dag, layers, Recording(), SearchConfig(seed=0))
     cs.run()
     assert len(set(map(id, seen))) == 1
     memo = seen.pop()
     assert memo.steps
+    assert estimated[0] is None and set(map(id, estimated[1:])) == {id(memo)}
+    # The estimates kept live folds beside the transitions' steps.
+    assert any(type(key[0]) is not frozenset for key in memo.steps if key)
     seen.clear()
+    estimated.clear()
     gc.collect()
     assert gc.get_referrers(memo) == []
 
@@ -649,12 +768,14 @@ def _differential_graphs():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_index_picks_what_a_full_scan_picks(alpha):
     """Every pop and activation of a run is the one the brute-force scan over
-    all pending proposals would choose, and at termination no index holds a
-    valid top and no dead, finished or spent branch is kept."""
-    pops = activations = 0
+    all pending proposals would choose; at termination no index holds a
+    valid top and no branch is kept, and a run stopped part way keeps no
+    dead, finished or spent branch."""
+    pops = activations = held = waiting = 0
     for dag in _differential_graphs():
         layers = assign_layers(dag)
-        cs = _Differential(dag, layers, BnComputationCost(dag, layers), SearchConfig(alpha=alpha, seed=0))
+        model = BnComputationCost(dag, layers)
+        cs = _Differential(dag, layers, model, SearchConfig(alpha=alpha, seed=0))
         res = cs.run()
         assert not res.report.terminated_early
         pops += cs.pops
@@ -662,10 +783,20 @@ def test_index_picks_what_a_full_scan_picks(alpha):
         assert ClusterSearch._take_ready(cs) is None
         assert cs._waiting_top(cs._waiting_ghat) is None
         assert cs._waiting_top(cs._waiting_layer) is None
+        assert cs.branches == {}
         # Killed and finished branches, and those with no proposal left,
-        # leave at once.
-        assert all(b.alive and _queued(b) and len(b.u) < dag.n for b in cs.branches.values())
+        # leave at once, so every branch a capped run holds can still pop
+        # or be activated.
+        total = res.report.iterations_total
+        for cap in (total // 4, total // 2, 3 * total // 4):
+            cs = ClusterSearch(dag, layers, model, SearchConfig(alpha=alpha, seed=0, max_iterations=cap))
+            cs.run()
+            for b in cs.branches.values():
+                assert b.alive and _queued(b) and len(_assignment(b)) < dag.n
+            held += len(cs.branches)
+            waiting += sum(not b.active for b in cs.branches.values())
     assert pops > 0 and activations > 0
+    assert waiting > 0 and held > waiting
 
 
 class _PushAudit(ClusterSearch):
