@@ -124,11 +124,15 @@ class CostModel(Protocol):
     ``transition`` returns the cost and the dimensions of the new record.
     The mapping it gets assigns every node below the costed nodes; whether
     it assigns the costed nodes themselves, and what else it assigns, varies
-    (a search branch before the combo joins it, a prefix of the oracle's
-    walk, a whole mapping in ``evaluate_mapping``), and the result must not
+    (a search branch with the combo in it, a prefix of the oracle's walk,
+    a whole mapping in ``evaluate_mapping``), and the result must not
     depend on it.
     The search passes ``heuristic`` every record none of whose members has
     a costed parent yet, and estimates only when it queues a new proposal.
+    It calls ``transition`` only when it reads the cost: at once for the
+    popped branch and for a clone that queues a proposal or completes the
+    last layer, and for any other clone only when it is activated, so a
+    clone never activated is never priced.
     Last, it passes ``transition`` and every estimate below the root one
     ``StepMemo`` that lives for one search run, as the oracle's walk passes
     one per walk and ``optimal_set`` one per repricing of its winners: the
@@ -166,16 +170,18 @@ class BnComputationCost:
         self.dag = dag
         self.layers = layers
         self.weights = weights
-        # The sweep's elimination order, (layer, table size, node id), as a
-        # rank per node.  Built with the model, in the caller's thread: a
-        # table first built during a search would be allocated on
-        # ``stream_search``'s worker thread and outlive it, holding that
-        # thread's malloc arena.
+        # The sweep's steps in elimination order, (layer, table size, node
+        # id): each node with its scope, its states and its states less one.
+        # Built with the model, in the caller's thread: a table first built
+        # during a search would be allocated on ``stream_search``'s worker
+        # thread and outlive it, holding that thread's malloc arena.
         order = sorted(
             dag.node_ids(),
             key=lambda x: (layers.of(x), table_size(dag.scope(x), dag.states), x),
         )
-        self._sweep_rank = {x: r for r, x in enumerate(order)}
+        self._sweep_steps = tuple(
+            (x, dag.scope(x), dag.states[x], dag.states[x] - 1) for x in order
+        )
         # The founding-label mapping's total, a constant of the graph and
         # weights, priced at the first root estimate rather than here, so
         # that building a model stays cheap.  Threads that race to price it
@@ -272,7 +278,7 @@ class BnComputationCost:
     def _sweep_estimate(
         self, remaining: set[int], live: Sequence[JEntry], memo: StepMemo | None = None
     ) -> float:
-        scope, states, w = self.dag.scope, self.dag.states, self.weights
+        states, w = self.dag.states, self.weights
         # The live records' fold, as (dims, table size, cost), is kept under
         # their parts alone: a transition's key starts with its node set, so
         # the two kinds of key never meet.
@@ -285,17 +291,20 @@ class BnComputationCost:
                 memo.store(parts, (memo.share(dims), *folded[1:]))
         dims, size, cost = folded
         acc = set(dims)
-        # Multiply each node's table (the node and its parents) in and sum
-        # the node out, carrying the accumulator's table size as an integer.
-        for x in sorted(remaining, key=self._sweep_rank.__getitem__):
-            for d in scope(x):
-                if d not in acc:
-                    acc.add(d)
-                    size *= states[d]
-            cost += size * w.mul
-            acc.remove(x)
-            size //= states[x]
-            cost += (states[x] - 1) * size * w.add
+        # Multiply each remaining node's table (the node and its parents) in
+        # and sum the node out, carrying the accumulator's table size as an
+        # integer.
+        mul, add = w.mul, w.add
+        for x, scope, s, s1 in self._sweep_steps:
+            if x in remaining:
+                for d in scope:
+                    if d not in acc:
+                        acc.add(d)
+                        size *= states[d]
+                cost += size * mul
+                acc.remove(x)
+                size //= s
+                cost += s1 * size * add
         return cost
 
 

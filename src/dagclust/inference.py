@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .dag import Dag, LayerAssignment, ValidationError, check_contiguity
@@ -76,7 +78,7 @@ def cluster_inference_schedule(
         if phase == "posterior":
             args = map(dag.name, args)
         steps.append(InferenceStep(phase, k, l, label.format(*args), cost))
-    return InferenceCost(total=sum(s.cost for s in steps), steps=steps)
+    return InferenceCost(total=reduce(add, costs, 0.0), steps=steps)
 
 
 def cluster_inference_cost(
@@ -85,10 +87,12 @@ def cluster_inference_cost(
     mapping: dict[int, int],
     weights: OpCostWeights = DEFAULT_WEIGHTS,
 ) -> float:
-    """``cluster_inference_schedule(...).total``, without building the steps."""
+    """``cluster_inference_schedule(...).total``, without building the steps.
+    Both add the step costs left to right, so the total is one float on
+    every Python: ``sum`` compensates from 3.12 on."""
     costs: list[float] = []
     _walk(dag, layers, mapping, weights, costs)
-    return sum(costs)
+    return reduce(add, costs, 0.0)
 
 
 class _Row(NamedTuple):

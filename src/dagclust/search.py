@@ -2,11 +2,13 @@
 
 Partial solutions live on branches.  A queue of cluster-layer proposals
 drives the search: popping a proposal enumerates every node combination it
-can still realize, stores each combination on its own branch, costs it, and
-proposes the parents upward.  Completed layers advance a branch's frontier,
-and whenever a branch completes the last layer it emits a solution.  The
-best total seen so far prunes any partial already costing more, since
-transition costs are strictly positive.
+can still realize, stores each combination on its own branch, and proposes
+the parents upward.  A combination is costed when something reads its
+cost: at once on the popped branch and on a clone that queues or emits,
+and on any other clone only if it is activated.  Completed layers advance
+a branch's frontier, and whenever a branch completes the last layer it
+emits a solution.  The best total seen so far prunes any partial already
+costing more, since transition costs are strictly positive.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -81,8 +85,9 @@ class _Snapshot:
     """A popped branch's queued proposals and assignment, frozen for the
     clones that pop makes.  Every clone of the pop shares it: the clone
     whose block starts at ``seq0`` queues entry i under seq ``seq0 + i``,
-    and is costed on ``u``, ``entries`` and ``g`` in place.  The last of
-    the clones still waiting to activate adopts these three objects."""
+    and takes its parent proposals, and any cost the pop reads, on ``u``,
+    ``entries`` and ``g`` in place.  The last of the clones still waiting
+    to activate adopts these three objects."""
 
     __slots__ = (
         "ghat", "lo_ghat", "lo_ghat_at", "lo_layer", "lo_layer_at", "u", "entries", "g", "waiting",
@@ -141,13 +146,16 @@ class _Branch:
     # How many of its proposals the ready heap holds: while it is active,
     # those at or below its progress.
     n_ready: int = 0
-    # A waiting clone: (its record or None for the empty combo, its popped
-    # layer's cost); activation rebuilds u, entries and g as ``snap``'s
-    # plus these.
+    # A waiting clone: (its record, its popped layer's cost), both None for
+    # the empty combo.  An unpriced combo's record has dims None and no
+    # cost: activation prices it.  Activation rebuilds u, entries and g as
+    # ``snap``'s plus these.
     delta: tuple[JEntry | None, float | None] | None = None
 
     def cum_g(self) -> float:
-        return sum(self.g.values())
+        # Left to right: ``sum`` compensates from Python 3.12 on, and the
+        # streams must not depend on the version.
+        return reduce(add, self.g.values(), 0.0)
 
 
 def enumerate_combos(
@@ -262,8 +270,11 @@ class ClusterSearch:
         if entry is not None:
             for x in entry.members:
                 br.u[x] = entry.cluster
-            br.entries.append(entry)
-            br.g[entry.layer] = g_l
+            if g_l is None:
+                self._price(br, entry.cluster, entry.layer, entry.members)
+            else:
+                br.entries.append(entry)
+                br.g[entry.layer] = g_l
         br.delta = None
         # Entry 0 keeps ``seq0`` itself, the int the waiting heaps may hold.
         seq0 = br.seq0
@@ -349,21 +360,28 @@ class ClusterSearch:
 
     # -- proposals -----------------------------------------------------------------
 
-    def _propose_parents(self, br: _Branch, popped: frozenset[int]) -> None:
-        """Queue each parent proposal the branch does not hold yet, all
-        under one ghat, estimated at the first push: the queue reads no
-        other."""
-        ghat = None
+    def _parent_keys(self, br: _Branch, popped: frozenset[int]) -> list[tuple[int, int]]:
+        """The parent proposals of the popped nodes that the branch does not
+        queue yet, in push order."""
+        own, held = br.own, br.snap.ghat
+        keys = []
         for p in sorted(frozenset().union(*map(self.dag.parents, popped))):
             l = self.layers.of(p)
             for k in proposal_clusters(self.dag, self.labels, br.u, p):
                 key = (k, l)
-                if key not in br.own and key not in br.snap.ghat:
-                    if ghat is None:
-                        ghat = br.cum_g() + self.model.heuristic(
-                            self._unassigned(br), br.live, br.u, self._memo
-                        )
-                    self._push(br, key, ghat)
+                if key not in own and key not in held and key not in keys:
+                    keys.append(key)
+        return keys
+
+    def _propose_parents(self, br: _Branch, keys: list[tuple[int, int]]) -> None:
+        """Queue ``keys`` on the branch, all under one ghat, estimated only
+        if there is a key: the queue reads no other."""
+        if keys:
+            ghat = br.cum_g() + self.model.heuristic(
+                self._unassigned(br), br.live, br.u, self._memo
+            )
+            for key in keys:
+                self._push(br, key, ghat)
 
     def _unassigned(self, br: _Branch) -> list[int]:
         return [x for x in self._from_layer[br.progress] if not br.u.get(x)]
@@ -457,53 +475,69 @@ class ClusterSearch:
 
         holders: list[tuple[_Branch, frozenset[int]]] = [(br, combos[0])]
         if len(combos) > 1:
-            # Every clone waits on one snapshot of the popped branch and is
-            # costed on its assignment in place, one at a time.
+            # Every clone waits on one snapshot of the popped branch and
+            # works on its assignment in place, one at a time.
             snap = _Snapshot(
                 {key: g for key, (g, _) in br.own.items()}, dict(br.u), list(br.entries), dict(br.g)
             )
             g_old = snap.g.get(l)
             holders += [(self._clone(br, snap), combo) for combo in combos[1:]]
 
+        members = layers.members.get(l, ())
         emissions: list[SolutionRecord] = []
         for holder, combo in holders:
             if not combo:
                 continue
-            if holder is not br:
+            clone = holder is not br
+            if clone:
                 holder.u, holder.entries, holder.g = snap.u, snap.entries, snap.g
-            t = self.model.transition(holder.u, holder.entries, k, l, combo, self._memo)
-            assert t.cost > TOL, "transition cost must be strictly positive"
-            entry = JEntry(k, l, combo, t.dims)
-            holder.entries.append(entry)
-            # The transition gathered the records holding a child of the
-            # combo; a record is live until its first gather, and the new
-            # record's members have no costed parent yet.
-            kids = frozenset().union(*map(dag.children, combo))
-            holder.live = (*[e for e in holder.live if kids.isdisjoint(e.members)], entry)
             for x in combo:
                 holder.u[x] = k
-            holder.g[l] = holder.g.get(l, 0.0) + t.cost
-            layer_done = all(map(holder.u.get, layers.members.get(l, ())))
+            layer_done = all(map(holder.u.get, members))
+            emits = layer_done and l == layers.l_max
+            keys = self._parent_keys(holder, combo)
+            # A waiting clone that neither queues nor emits has no cost read
+            # before it activates, most never do: activation prices it.
+            priced = not clone or keys or emits
+            if priced:
+                self._price(holder, k, l, combo)
             if layer_done:
                 self._advance(holder)
-                if l == layers.l_max:
+                if emits:
                     emissions.append(self._emit(holder))
-            self._propose_parents(holder, combo)
-            if holder is not br:
+            self._propose_parents(holder, keys)
+            if clone:
                 # Keep the clone's delta and undo it on the snapshot: its
                 # nodes were unassigned, and the layer's old cost comes back
                 # as it was, never by subtraction.
-                holder.delta = (snap.entries.pop(), snap.g[l])
+                if priced:
+                    holder.delta = (snap.entries.pop(), snap.g[l])
+                    if g_old is None:
+                        del snap.g[l]
+                    else:
+                        snap.g[l] = g_old
+                else:
+                    holder.delta = (JEntry(k, l, combo, None), None)
                 for x in combo:
                     del snap.u[x]
-                if g_old is None:
-                    del snap.g[l]
-                else:
-                    snap.g[l] = g_old
                 holder.u = holder.entries = holder.g = None
         for holder, _ in holders:
             self._settle(holder)
         return emissions
+
+    def _price(self, br: _Branch, k: int, l: int, combo: frozenset[int]) -> None:
+        """Cost the branch's combo, which ``br.u`` assigns to cluster k at
+        layer l, and store its record, live records and layer cost."""
+        t = self.model.transition(br.u, br.entries, k, l, combo, self._memo)
+        assert t.cost > TOL, "transition cost must be strictly positive"
+        entry = JEntry(k, l, combo, t.dims)
+        br.entries.append(entry)
+        # The transition gathered the records holding a child of the combo;
+        # a record is live until its first gather, and the new record's
+        # members have no costed parent yet.
+        kids = frozenset().union(*map(self.dag.children, combo))
+        br.live = (*[e for e in br.live if kids.isdisjoint(e.members)], entry)
+        br.g[l] = br.g.get(l, 0.0) + t.cost
 
     def _settle(self, br: _Branch) -> None:
         """End a pop or an activation for a branch it holds.  Only a

@@ -202,6 +202,22 @@ def test_cost_path_equals_schedule_total(fig1, fig1_layers):
         assert cluster_inference_cost(dag, layers, u) == total
 
 
+def test_totals_add_the_steps_left_to_right(fig1, fig1_layers):
+    """Both totals add the step costs one by one in schedule order, the
+    floats ``sum`` gave before Python 3.12 compensated, on every feasible
+    fig1 mapping."""
+    count = 0
+    for u in iter_feasible(fig1, fig1_layers):
+        sched = cluster_inference_schedule(fig1, fig1_layers, u)
+        total = 0.0
+        for s in sched.steps:
+            total += s.cost
+        assert sched.total == total
+        assert cluster_inference_cost(fig1, fig1_layers, u) == total
+        count += 1
+    assert count > 1
+
+
 def test_cost_path_refuses_as_schedule_does(fig1, fig1_layers):
     """Both paths refuse alike, also once the memo holds fig1's steps."""
     for u in iter_feasible(fig1, fig1_layers):

@@ -1,6 +1,7 @@
 import gc
 import io
 import itertools
+import math
 import os
 import random
 import sys
@@ -29,6 +30,7 @@ from dagclust.search import (
     ClusterSearch,
     ConfigError,
     _NO_PROPOSALS,
+    _Branch,
     _Snapshot,
     enumerate_combos,
     partition_signature,
@@ -282,7 +284,7 @@ def _snapshot(br):
 
 def _assignment(br):
     """The branch's assignment: its own ``u``, or a waiting clone's
-    snapshot's plus its combo."""
+    snapshot's plus its combo, priced or not."""
     if br.delta is None:
         return br.u
     entry, _ = br.delta
@@ -320,7 +322,9 @@ def test_root_pop_proposes_nothing(fig1, fig1_layers, fig1_model):
     br = cs.branches[1]
     br.u.update(u)
     before = _queued(br)
-    cs._propose_parents(br, frozenset({fig1.id_of("B")}))
+    keys = cs._parent_keys(br, frozenset({fig1.id_of("B")}))
+    assert keys == []
+    cs._propose_parents(br, keys)
     assert _queued(br) == before
 
 
@@ -403,10 +407,11 @@ class _EstimateAudit(ClusterSearch):
 
     pushing = idle = 0
 
-    def _propose_parents(self, br, popped):
+    def _propose_parents(self, br, keys):
         estimates, seq = self.model.estimates, self._seq
-        super()._propose_parents(br, popped)
+        super()._propose_parents(br, keys)
         pushed = self._seq > seq
+        assert pushed == bool(keys)
         assert self.model.estimates - estimates == pushed
         self.pushing += pushed
         self.idle += not pushed
@@ -468,6 +473,19 @@ def test_prune_keeps_incumbent_ties(fig1, fig1_layers, fig1_model):
         cs._prune_at_pop(br)
     assert a.alive and not b.alive and c.alive
     assert set(cs.branches) == {1, 3}
+
+
+def test_cum_g_adds_left_to_right():
+    """The accrued cost adds the layer costs one by one: both halves of an
+    ulp round away, where a compensated ``sum`` (Python 3.12 on) keeps
+    them, so the streams do not depend on the Python version."""
+    g = {0: 1.0, 1: 2**-53, 2: 2**-53}
+    br = _Branch(
+        id=1, u={}, entries=[], g=g, progress=0, active=True, live=(),
+        snap=_NO_PROPOSALS, seq0=0, own={},
+    )
+    assert br.cum_g() == 1.0
+    assert math.fsum(g.values()) > 1.0
 
 
 def test_prune_against_incumbent(fig1, fig1_layers, fig1_model):
@@ -580,13 +598,15 @@ class _GatherLog:
 
 
 class _LiveAudit(ClusterSearch):
-    """Checks at every proposal that the live records kept on the branch are
-    the records no transition on the branch's history has gathered, and
-    those none of whose members has an assigned parent."""
+    """Checks at every pricing, in a pop or an activation, that the live
+    records kept on the branch are the records no transition on the
+    branch's history has gathered, and those none of whose members has an
+    assigned parent."""
 
     checks = 0
 
-    def _propose_parents(self, br, popped):
+    def _price(self, br, k, l, combo):
+        super()._price(br, k, l, combo)
         gathered = set()
         for j, e in enumerate(br.entries):
             gathered |= self.model.gathers[tuple(br.entries[:j]), e.members]
@@ -598,7 +618,6 @@ class _LiveAudit(ClusterSearch):
         ]
         assert list(br.live) == unparented
         self.checks += 1
-        super()._propose_parents(br, popped)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -844,19 +863,23 @@ class _PerCloneCopy(ClusterSearch):
     map: a push appends under the next seq, a pop deletes, and a clone
     re-keys its parent's map in order under fresh seqs from the same
     counter.  Its assignment: a clone copies its parent's ``u``,
-    ``entries`` and ``g``, and its combo is costed and stored on that copy.
-    At each activation the branch's queue must equal that map, seq for seq,
-    with no snapshot left on it, and its assignment that copy, items and
-    insertion order both; each cloning pop must hand all its clones one
-    snapshot, and leave them waiting with no assignment of their own, the
-    snapshot counting those still held."""
+    ``entries``, ``g`` and live records, and its combo is priced at once
+    and stored on that copy.  At each activation the branch's queue must
+    equal that map, seq for seq, with no snapshot left on it, and its
+    assignment and live records that copy, items and insertion order both,
+    whether the pop or the activation priced it.  Each cloning pop must
+    hand all its clones one snapshot, and leave them waiting with no
+    assignment of their own, the snapshot counting those still held, and
+    leave unpriced exactly the clones with a combo that queued nothing and
+    emitted nothing."""
 
     def _init(self):
         self.copies = {}
         self.seqs = itertools.count()
-        self.assigned = {}  # per clone not yet activated: its (u, entries, g)
+        self.assigned = {}  # per clone not yet activated: its (u, entries, g, live)
         self.pop_clones = []  # per cloning pop: its number of clones
         self.activations = self.assignments_checked = self.adoptions = self.dropped = 0
+        self.unpriced = self.priced_at_activation = 0
         self._key = self._clones = None
         super()._init()
 
@@ -872,50 +895,64 @@ class _PerCloneCopy(ClusterSearch):
 
     def _process_pop(self, br, key):
         self._key, self._clones = key, []
-        try:
-            return super()._process_pop(br, key)
-        finally:
-            clones, self._clones = self._clones, None
-            if clones:
-                assert len({id(nb.snap) for nb in clones}) == 1, (self.iteration, key)
-                assert all(not nb.active and nb.u is nb.entries is nb.g is None for nb in clones)
-                waiting = clones[0].snap.waiting
-                assert waiting == sum(nb.id in self.branches for nb in clones), (self.iteration, key)
-                self.dropped += len(clones) - waiting
-                self.pop_clones.append(len(clones))
+        out = super()._process_pop(br, key)
+        clones, self._clones = self._clones, None
+        if clones:
+            assert len({id(nb.snap) for nb in clones}) == 1, (self.iteration, key)
+            assert all(not nb.active and nb.u is nb.entries is nb.g is None for nb in clones)
+            waiting = clones[0].snap.waiting
+            assert waiting == sum(nb.id in self.branches for nb in clones), (self.iteration, key)
+            self.dropped += len(clones) - waiting
+            self.pop_clones.append(len(clones))
+            emitted = {rec.branch for rec in out}
+            for nb in clones:
+                entry, cost = nb.delta
+                if entry is not None:
+                    unpriced = cost is None
+                    assert unpriced == (entry.dims is None), (self.iteration, nb.id)
+                    assert unpriced == (not nb.own and nb.id not in emitted), (self.iteration, nb.id)
+                    self.unpriced += unpriced
+        return out
 
     def _clone(self, br, snap):
         nb = super()._clone(br, snap)
         self._clones.append(nb)
         parent = self.copies.get(br.id, {})
         self.copies[nb.id] = {key: (ghat, next(self.seqs)) for key, (ghat, _) in parent.items()}
-        self.assigned[nb.id] = (dict(br.u), list(br.entries), dict(br.g))
+        self.assigned[nb.id] = (dict(br.u), list(br.entries), dict(br.g), list(br.live))
         return nb
 
-    def _propose_parents(self, br, popped):
+    def _parent_keys(self, br, popped):
+        # Called once on each clone with a combo, in its cloning pop.
         if br.id in self.assigned:
-            u, entries, g = self.assigned[br.id]
+            u, entries, g, live = self.assigned[br.id]
             k, l = self._key
             t = self.model.transition(u, entries, k, l, popped)
-            entries.append(JEntry(k, l, popped, t.dims))
+            entry = JEntry(k, l, popped, t.dims)
+            entries.append(entry)
+            kids = frozenset().union(*map(self.dag.children, popped))
+            live[:] = [*(e for e in live if kids.isdisjoint(e.members)), entry]
             for x in popped:
                 u[x] = k
             g[l] = g.get(l, 0.0) + t.cost
-        super()._propose_parents(br, popped)
+        return super()._parent_keys(br, popped)
 
     def _activate(self, br):
         snap = br.snap
+        entry, cost = br.delta
         super()._activate(br)
         self.adoptions += br.u is snap.u
-        assert br.snap is _NO_PROPOSALS
+        assert br.snap is _NO_PROPOSALS and br.delta is None
         expect = [(key, ghat, seq) for key, (ghat, seq) in self.copies.get(br.id, {}).items()]
         assert _queued(br) == expect, (self.iteration, br.id)
         if br.id in self.assigned:
-            u, entries, g = self.assigned.pop(br.id)
+            u, entries, g, live = self.assigned.pop(br.id)
             assert list(br.u.items()) == list(u.items()), (self.iteration, br.id)
             assert br.entries == entries, (self.iteration, br.id)
             assert list(br.g.items()) == list(g.items()), (self.iteration, br.id)
+            assert list(br.live) == live, (self.iteration, br.id)
             self.assignments_checked += 1
+            self.priced_at_activation += entry is not None and cost is None
         self.activations += 1
 
 
@@ -933,8 +970,27 @@ def test_clones_share_one_snapshot_and_keep_the_copied_seqs():
     assert res.report.iterations_total == 300 and res.solutions
     assert cs.activations > 0 and cs.assignments_checked > 0
     assert 0 < cs.adoptions < cs.assignments_checked
+    assert cs.unpriced > 0 and cs.priced_at_activation > 0
     assert sum(cs.pop_clones) == res.report.branches_created - 1
     assert 1 in cs.pop_clones and any(n > 1 for n in cs.pop_clones)
+
+
+def test_waiting_clones_are_priced_only_when_read():
+    """On the 300-iteration anytime search of the n=50 seed-3 graph a clone
+    is priced in its pop only when it queues or emits, and otherwise only
+    if it is activated: 3,202 transitions through the model, against 5,586
+    when the pop priced every clone, and 2,384 of the held clones were
+    never priced.  The stream is the one the golden digests pin."""
+    dag = generate_dag(GeneratorSpec(n=50, seed=3))
+    layers = assign_layers(dag)
+    model = _Counting(BnComputationCost(dag, layers))
+    cs = ClusterSearch(dag, layers, model, SearchConfig(alpha=0.5, seed=0, max_iterations=300))
+    assert cs.run().solutions
+    assert model.transitions == 3202
+    deltas = [b.delta for b in cs.branches.values() if b.delta is not None]
+    unpriced = [entry for entry, cost in deltas if entry is not None and cost is None]
+    assert len(unpriced) == 2384
+    assert all(entry.dims is None for entry in unpriced)
 
 
 def test_lone_clone_adopts_its_snapshot(fig1, fig1_layers, fig1_model):
@@ -961,10 +1017,13 @@ def test_lone_clone_adopts_its_snapshot(fig1, fig1_layers, fig1_model):
 
 def test_snapshot_counts_the_clones_still_waiting(fig1, fig1_layers, fig1_model):
     """To termination on fig1, some clones leave when their pop ends, done
-    or with nothing queued, and each snapshot counts only the held ones."""
+    or with nothing queued, and each snapshot counts only the held ones.
+    Activation prices some clones and finds others priced by their pop,
+    and both hold what eager pricing gives."""
     cs = _PerCloneCopy(fig1, fig1_layers, fig1_model, SearchConfig(alpha=0.5, seed=0))
     assert not cs.run().report.terminated_early
     assert cs.dropped > 0 and cs.adoptions > 0
+    assert 0 < cs.priced_at_activation < cs.assignments_checked
 
 
 def test_held_branches_share_their_assignments():
