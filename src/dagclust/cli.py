@@ -40,7 +40,7 @@ from .dag import (
     search_space_size,
 )
 from .costs import TOL, BnComputationCost
-from .factors import OpCostWeights, bucket_elimination_cost, jointree_fixture_cost
+from .factors import DEFAULT_WEIGHTS, OpCostWeights, bucket_elimination_cost, jointree_fixture_cost
 from .generator import GeneratorSpec, degree_histogram, generate_dag
 from .inference import cluster_inference_schedule
 from .oracle import DEFAULT_CAP, co_membership, enumerate_feasible, optimal_set, similarity
@@ -76,7 +76,7 @@ def _positive_int(text: str) -> int:
 
 def _fmt(value: float, weights: OpCostWeights, precise: bool) -> str:
     # Default weights make every cost a multiple of 0.2; one decimal suffices.
-    if precise or not weights.is_default:
+    if precise or weights != DEFAULT_WEIGHTS:
         return repr(value)
     return f"{value:.1f}"
 
@@ -88,9 +88,15 @@ def _load(path: str) -> Dag:
         raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
 
 
+def _given(args, cls) -> dict:
+    """The fields of the dataclass ``cls`` that the command line set.  A
+    flag left unset is absent, so ``cls`` fills in its own default."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
 def _weights(args) -> OpCostWeights:
     try:
-        return OpCostWeights(add=args.w_add, mul=args.w_mul, div=args.w_div)
+        return OpCostWeights(**_given(args, OpCostWeights))
     except ValidationError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
 
@@ -200,13 +206,7 @@ def cmd_search(args, out, manifest: dict | None = None) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = BnComputationCost(dag, layers, _weights(args))
-    config = SearchConfig(
-        alpha=args.alpha,
-        seed=args.seed,
-        max_iterations=args.max_iters,
-        stall_window=args.stall,
-        prune_enabled=not args.no_prune,
-    )
+    config = SearchConfig(**_given(args, SearchConfig))
     references = _read_references(dag, args.reference) if args.reference else None
     # Co-membership matrices, built once for every row's similarity.
     references = references and [co_membership(r) for r in references]
@@ -382,19 +382,12 @@ def cmd_infer_cost(args, out) -> int:
 
 
 def cmd_gen(args, out) -> int:
+    given = _given(args, GeneratorSpec)
     try:
-        lo, _, hi = args.states.partition("-")
-        spec = GeneratorSpec(
-            n=args.n,
-            layers=args.layers,
-            rewire=args.rewire,
-            max_in=args.max_in,
-            max_out=args.max_out,
-            extra_arc_rate=args.extra_arcs,
-            states=(int(lo), int(hi or lo)),
-            seed=args.seed,
-        )
-        dag = generate_dag(spec)
+        if "states" in given:
+            lo, _, hi = given["states"].partition("-")
+            given["states"] = (int(lo), int(hi or lo))
+        dag = generate_dag(GeneratorSpec(**given))
     except (ValueError, ValidationError) as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
     text = format_dag_text(dag)
@@ -420,7 +413,7 @@ def cmd_compare(args, out) -> int:
         if not alphas:
             raise CliError("--alphas: no alpha given", EXIT_CONFIG)
         configs = [
-            SearchConfig(alpha=alpha, seed=seed, stall_window=args.stall)
+            SearchConfig(alpha=alpha, seed=seed, **_given(args, SearchConfig))
             for seed in range(args.seeds)
             for alpha in alphas
         ]
@@ -503,9 +496,9 @@ def cmd_replay(args, out) -> int:
         raise CliError(f"manifest lacks {', '.join(missing)}", EXIT_CONFIG)
     if not isinstance(manifest["input"], str):
         raise CliError("manifest input must be a path string", EXIT_CONFIG)
-    # A key set that the flags below cannot carry (such as the removed
-    # root-split filter or leaf_init) would make the replay a different search.
-    known = {"alpha", "seed", "max_iterations", "stall_window", "prune_enabled", "weights"}
+    # A key set that the flags cannot carry (such as the removed root-split
+    # filter or leaf_init) would make the replay a different search.
+    known = {field for field, _ in _SEARCH_FLAGS.values()} | {"weights"}
     unknown = sorted(key for key, val in cfg.items() if key not in known and val)
     if unknown:
         raise CliError(
@@ -518,28 +511,18 @@ def cmd_replay(args, out) -> int:
             f"{input_path} does not match the manifest's input_sha256",
             EXIT_VALIDATION,
         )
-    argv = [
-        "search",
-        input_path,
-        "--alpha",
-        str(cfg["alpha"]),
-        "--seed",
-        str(cfg["seed"]),
-        "--w-add",
-        str(weights.get("add", 0.6)),
-        "--w-mul",
-        str(weights.get("mul", 1.0)),
-        "--w-div",
-        str(weights.get("div", 3.0)),
-        "--format",
-        args.format,
-    ]
-    if cfg.get("max_iterations") is not None:
-        argv += ["--max-iters", str(cfg["max_iterations"])]
-    if cfg.get("stall_window") is not None:
-        argv += ["--stall", str(cfg["stall_window"])]
-    if not cfg.get("prune_enabled", True):
-        argv.append("--no-prune")
+    # A setting the manifest lacks, or a None where the library's default is
+    # None, takes that default; any other value goes through its flag's
+    # type, which refuses a null alpha or seed.
+    defaults = {**dataclasses.asdict(SearchConfig()), **dataclasses.asdict(DEFAULT_WEIGHTS)}
+    argv = ["search", input_path, "--format", args.format]
+    for held, flags in ((cfg, _SEARCH_FLAGS), (weights, _WEIGHT_FLAGS)):
+        for flag, (field, kind) in flags.items():
+            value = held.get(field, defaults[field])
+            if kind is None:
+                argv += [] if value else [flag]
+            elif value is not None or defaults[field] is not None:
+                argv += [flag, str(value)]
     try:
         search_args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -550,11 +533,34 @@ def cmd_replay(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each flag that sets a SearchConfig or OpCostWeights field, with the field
+# and its type (None: a switch that turns the field off).  ``replay`` turns
+# a manifest's config, weights under "weights", back into these flags.
+_SEARCH_FLAGS = {
+    "--alpha": ("alpha", float),
+    "--seed": ("seed", int),
+    "--max-iters": ("max_iterations", int),
+    "--stall": ("stall_window", int),
+    "--no-prune": ("prune_enabled", None),
+}
+_WEIGHT_FLAGS = {"--w-add": ("add", float), "--w-mul": ("mul", float), "--w-div": ("div", float)}
+
+
+def _add_fields(p: _Parser, flags: dict, **help: str) -> None:
+    """Add ``flags``, each stored under its field's name and with no
+    default, so one left unset is absent.  ``help`` is keyed by field; the
+    metavar stays the one argparse derives from the flag."""
+    for flag, (field, kind) in flags.items():
+        if kind is None:
+            kw = {"action": "store_false"}
+        else:
+            kw = {"type": kind, "metavar": flag[2:].upper().replace("-", "_")}
+        p.add_argument(flag, dest=field, default=argparse.SUPPRESS, help=help.get(field), **kw)
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--w-add", type=float, default=0.6)
-    p.add_argument("--w-mul", type=float, default=1.0)
-    p.add_argument("--w-div", type=float, default=3.0)
+    _add_fields(p, _WEIGHT_FLAGS)
 
 
 def build_parser() -> _Parser:
@@ -568,11 +574,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="run the cluster-mapping search")
     p.add_argument("file")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--stall", type=int, default=None, help="stop after this many iterations without improvement")
-    p.add_argument("--no-prune", action="store_true")
+    _add_fields(p, _SEARCH_FLAGS, stall_window="stop after this many iterations without improvement")
     p.add_argument("--reference", default=None, help="file of mappings to score similarity against")
     p.add_argument("--manifest", default=None, help="write the run manifest to this path")
     p.add_argument("--precise", action="store_true", help="full float precision")
@@ -599,13 +601,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a benchmark DAG")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--layers", type=int, default=0)
-    p.add_argument("--rewire", type=float, default=0.1)
-    p.add_argument("--max-in", type=int, default=7)
-    p.add_argument("--max-out", type=int, default=9)
-    p.add_argument("--extra-arcs", type=float, default=0.5)
-    p.add_argument("--states", default="2", help="state-count range, e.g. 2 or 2-4")
-    p.add_argument("--seed", type=int, default=0)
+    gen_flags = {
+        "--layers": ("layers", int),
+        "--rewire": ("rewire", float),
+        "--max-in": ("max_in", int),
+        "--max-out": ("max_out", int),
+        "--extra-arcs": ("extra_arc_rate", float),
+        "--states": ("states", str),
+        "--seed": ("seed", int),
+    }
+    _add_fields(p, gen_flags, states="state-count range, e.g. 2 or 2-4")
     p.add_argument("--out", default=None, help="write the DAG file here instead of stdout")
     p.set_defaults(fn=cmd_gen)
 
@@ -613,7 +618,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--alphas", default="0,0.5,1")
-    p.add_argument("--stall", type=int, default=None)
+    _add_fields(p, {"--stall": _SEARCH_FLAGS["--stall"]})
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(p)

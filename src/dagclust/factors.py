@@ -38,10 +38,6 @@ class OpCostWeights:
         if not all(0 < w < math.inf for w in (self.add, self.mul, self.div)):
             raise ValidationError("operation cost weights must be finite and strictly positive")
 
-    @property
-    def is_default(self) -> bool:
-        return (self.add, self.mul, self.div) == (0.6, 1.0, 3.0)
-
 
 DEFAULT_WEIGHTS = OpCostWeights()
 
@@ -325,9 +321,6 @@ def bucket_elimination_cost(
 
 # ---------------------------------------------------------------------------
 # Jointree propagation fixture for the seven-node example
-
-_JOINTREE_CLUSTERS = ("AF", "ABD", "CE", "DEG")
-_JOINTREE_SEPSETS = (("AF", "ABD", "A"), ("ABD", "DEG", "D"), ("CE", "DEG", "E"))
 
 
 def _is_seven_node_example(dag: Dag) -> bool:

@@ -71,13 +71,9 @@ def cluster_inference_schedule(
     weights: OpCostWeights = DEFAULT_WEIGHTS,
 ) -> InferenceCost:
     costs: list[float] = []
-    notes: list[tuple] = []
+    notes: list[tuple[str, int, int, str]] = []
     _walk(dag, layers, mapping, weights, costs, notes)
-    steps = []
-    for cost, (phase, k, l, label, *args) in zip(costs, notes):
-        if phase == "posterior":
-            args = map(dag.name, args)
-        steps.append(InferenceStep(phase, k, l, label.format(*args), cost))
+    steps = [InferenceStep(*note, cost) for note, cost in zip(notes, costs)]
     return InferenceCost(total=reduce(add, costs, 0.0), steps=steps)
 
 
@@ -224,13 +220,11 @@ def _walk(
     mapping: dict[int, int],
     weights: OpCostWeights,
     costs: list[float],
-    notes: list[tuple] | None = None,
+    notes: list[tuple[str, int, int, str]] | None = None,
 ) -> None:
     """Cost the four passes over ``mapping`` in order, appending each
     step's cost to ``costs`` and, when ``notes`` is given, its
-    ``(phase, cluster, layer, label, *args)`` to ``notes``.  The step's
-    label is ``label.format(*args)``, with a posterior's node id resolved
-    to its name first."""
+    ``(phase, cluster, layer, label)`` to ``notes``."""
     if not check_contiguity(dag, mapping):
         raise ValidationError("mapping is not contiguous")
     memo, facts = _tables(dag, layers, weights)
@@ -291,14 +285,13 @@ def _walk(
         joint[k], cost = product((), None, f.own, None)
         put(cost)
         if notes is not None:
-            notes.append(("forward", k, f.rows[-1].layer, "joint over cluster {}", k))
+            notes.append(("forward", k, f.rows[-1].layer, f"joint over cluster {k}"))
         for row in f.rows:
             if row.exported:
                 fwd[row.layer, k], cost = sum_out(joint[k], row.exported)
                 put(cost)
                 if notes is not None:
-                    label = "export link dims at layer {}"
-                    notes.append(("forward", k, row.layer, label, row.layer))
+                    notes.append(("forward", k, row.layer, f"export link dims at layer {row.layer}"))
 
     for l in range(facts.top, -1, -1):
         for k, row in rows[l]:
@@ -312,7 +305,7 @@ def _walk(
             fwd[l, k], cost = product(parts, row.keep, row.nodes, row.kept)
             put(cost)
             if notes is not None:
-                notes.append(("forward", k, l, "partial for cluster {} layer {}", k, l))
+                notes.append(("forward", k, l, f"partial for cluster {k} layer {l}"))
 
     # ---- backward pass (needed results only) -------------------------------
     # A cluster-layer's upward partial is needed when one of its members has
@@ -331,8 +324,7 @@ def _walk(
             bwd[l, k] = t.dims
             put(t.cost)
             if notes is not None:
-                label = "upward partial for cluster {} layer {}"
-                notes.append(("backward", k, l, label, k, l))
+                notes.append(("backward", k, l, f"upward partial for cluster {k} layer {l}"))
 
     # ---- absorption into root clusters -------------------------------------
     root_dims: dict[int, frozenset[int]] = {}
@@ -350,7 +342,7 @@ def _walk(
         root_dims[k], cost = product(tuple(parts), f.members, (), None)
         put(cost)
         if notes is not None:
-            notes.append(("absorb", k, f.rows[-1].layer, "fold upward results into cluster {}", k))
+            notes.append(("absorb", k, f.rows[-1].layer, f"fold upward results into cluster {k}"))
 
     # ---- posteriors ---------------------------------------------------------
     for x, l, single, kids in facts.nodes:
@@ -369,4 +361,4 @@ def _walk(
                 _, cost = sum_out(dims, single)
         put(cost)
         if notes is not None:
-            notes.append(("posterior", k, l, "posterior of {}", x))
+            notes.append(("posterior", k, l, f"posterior of {dag.name(x)}"))

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import dataclasses
+import glob
 import io
 import json
 import os
@@ -9,7 +11,8 @@ import pytest
 import dagclust
 from dagclust import SearchConfig, assign_layers, load_dag, parse_dag_text
 from dagclust.cli import build_parser, main
-from dagclust.factors import bucket_elimination_cost
+from dagclust.dag import format_dag_text
+from dagclust.factors import DEFAULT_WEIGHTS, bucket_elimination_cost
 from dagclust.generator import GeneratorSpec, degree_histogram, generate_dag
 
 FIG1 = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
@@ -286,6 +289,49 @@ def test_replay_rejects_malformed_manifest(tmp_path, capsys, edit, code, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-iters", "40", "--stall", "10", "--w-add", "0.5", "--w-mul", "1.25", "--w-div", "2"),
+        ("--no-prune",),
+    ],
+    ids=["limits-and-weights", "no-prune"],
+)
+def test_replay_carries_every_setting(tmp_path, fmt, flags):
+    """Each search setting goes into the manifest and back through its flag:
+    the flags change the output, and the replay reproduces it."""
+    man = tmp_path / "run.json"
+    code, first = run_cli("search", FIG1, *flags, "--format", fmt, "--manifest", str(man))
+    assert code == 0
+    assert first != run_cli("search", FIG1, "--format", fmt)[1]
+    code, again = run_cli("replay", str(man), "--format", fmt)
+    assert code == 0
+    assert first == again
+
+
+def test_unset_flags_take_the_library_defaults(tmp_path):
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    assert json.loads(man.read_text())["config"] == {
+        **dataclasses.asdict(SearchConfig()),
+        "weights": dataclasses.asdict(DEFAULT_WEIGHTS),
+    }
+
+
+@pytest.mark.parametrize("key,kind", [("alpha", "float"), ("seed", "int")])
+def test_replay_rejects_null_setting(tmp_path, capsys, key, kind):
+    """A null alpha or seed is not read as unset: its flag refuses it."""
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    manifest = json.loads(man.read_text())
+    manifest["config"][key] = None
+    man.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", str(man)) == (4, "")
+    assert f"argument --{key}: invalid {kind} value: 'None'" in capsys.readouterr().err
+
+
 # -- oracle ---------------------------------------------------------------------
 
 
@@ -471,6 +517,20 @@ def test_gen_minimal():
     assert code == 0
     body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     parse_dag_text(body)
+
+
+def test_gen_defaults_are_the_spec_defaults():
+    code, out = run_cli("gen", "--n", "9")
+    assert code == 0
+    text = format_dag_text(generate_dag(GeneratorSpec(n=9)))
+    assert out.startswith(text)
+    summary = out[len(text):].splitlines()
+    assert [line.split("=")[0].split(":")[0] for line in summary] == [
+        "# nodes",
+        "# search_space",
+        "# in-degree histogram",
+        "# out-degree histogram",
+    ]
 
 
 def test_gen_heavy_tail_profile():
@@ -715,6 +775,35 @@ def test_public_api_census():
         "similarity",
         "stream_search",
     ]
+
+
+def test_every_private_module_name_is_read():
+    """A private name defined at the top of a module under src/dagclust that
+    no module there reads is dead code."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "dagclust")
+    trees = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read(), path))
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    private = [name for name in defined if name.startswith("_") and not name.endswith("__")]
+    assert private
+    assert [name for name in private if name not in read] == []
 
 
 def test_precise_output():
