@@ -16,6 +16,8 @@ from dagclust.factors import DEFAULT_WEIGHTS, bucket_elimination_cost
 from dagclust.generator import GeneratorSpec, degree_histogram, generate_dag
 
 FIG1 = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
+# Written by ``search data/fig1.dag --seed 7 --alpha 0.3 --manifest``.
+OLD_MANIFEST = os.path.join(os.path.dirname(__file__), "fixtures", "fig1-seed7-alpha0.3.json")
 
 
 def run_cli(*argv):
@@ -196,6 +198,22 @@ def test_manifest_replay_byte_identical(tmp_path, fmt):
     assert code == 0
     code, again = run_cli("replay", str(man), "--format", fmt)
     assert code == 0
+    assert first == again
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_older_manifest_still_replays(fmt):
+    """A manifest written before replay carried ``--precise`` and
+    ``--reference`` replays as ``search`` runs with its flags."""
+    code, first = run_cli("search", FIG1, "--seed", "7", "--alpha", "0.3", "--format", fmt)
+    assert code == 0
+    code, again = run_cli("replay", OLD_MANIFEST, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        first, again = json.loads(first), json.loads(again)
+        with open(OLD_MANIFEST, encoding="utf-8") as fh:
+            assert again.pop("manifest") == json.load(fh)
+        first.pop("manifest")
     assert first == again
 
 

@@ -1,4 +1,4 @@
-"""Golden digests of inference schedules and search streams.
+"""Golden digests of inference schedules, search streams and CLI output.
 
 The digests pin every float the cost calculus produces, bit for bit: a
 refactor of the product step or of the search must leave them unchanged.
@@ -7,8 +7,12 @@ says why.
 """
 
 import hashlib
+import io
+import json
+import os
 
 from dagclust import BnComputationCost, SearchConfig, assign_layers, search, seven_node_example
+from dagclust.cli import main
 from dagclust.costs import layer_transitions
 from dagclust.dag import format_dag_text
 from dagclust.generator import GeneratorSpec, generate_dag
@@ -19,6 +23,7 @@ INFERENCE_DIGEST = "16a2319ddc6063cee9fc4b355f5d2269ea566be94c2f60cc74323d387811
 STREAM_DIGEST = "c305b411e3962960b530540559de2d504558ee30f588eac0ff22ba0dabea8de6"
 ORACLE_DIGEST = "a17e47f5081bd49764b753dc22d6f2dae6fd0cd05decc842f498ba3f62bb36e2"
 GENERATOR_DIGEST = "ceb58afa9ff144282db10d90f3176ff4739c904a7b4f471d67aadd4851db5e85"
+CLI_DIGEST = "fde4ce7e516fc2a1bc492d9e485a9743a98f773fc4921b7d0a28475492fb14b6"
 
 
 def _inference_graphs():
@@ -143,3 +148,138 @@ def test_generator_digest():
     for spec in specs:
         h.update(format_dag_text(generate_dag(spec)).encode())
     assert h.hexdigest() == GENERATOR_DIGEST
+
+
+FIG1_MAPPING = "A=1,F=1,D=2,G=2,E=3,B=6,C=7"
+
+
+def _cli_corpus(tmp):
+    """Commands over every subcommand, both formats, ``--precise``,
+    non-default weights and the exit-2/3/4 paths.  Files they read are made
+    in ``tmp`` first; a replayed manifest here records neither ``--precise``
+    nor ``--reference``."""
+    fig1 = os.path.join(os.path.dirname(__file__), "..", "data", "fig1.dag")
+    with open(fig1, encoding="utf-8") as fh:
+        text = fh.read()
+    g, edited = os.path.join(tmp, "g.dag"), os.path.join(tmp, "edited.dag")
+    for path, body in (
+        (g, text),
+        (edited, text),
+        (os.path.join(tmp, "empty.dag"), ""),
+        (os.path.join(tmp, "ref.txt"), "A=2,B=6,C=7,D=2,E=3,F=1,G=2  # the paper's optimum\n"),
+        (os.path.join(tmp, "partial.txt"), "A=2,B=6,C=7,D=2,E=3,F=1,G=2\nA=1,B=2\n"),
+    ):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    with open(os.path.join(tmp, "bad.txt"), "wb") as fh:
+        fh.write(b"node A\n\xff\xfe\n")
+    with open(g, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    for name, config in (
+        ("alpha2.json", {"alpha": 2, "seed": 0}),
+        ("leaf.json", {"alpha": 0.5, "seed": 0, "leaf_init": {"6": 1}}),
+        ("noseed.json", {"alpha": 0.5}),
+        ("old.json", {"alpha": 0.25, "seed": 3, "weights": {"add": 0.5}}),
+    ):
+        manifest = {"command": "search", "input": "g.dag", "input_sha256": digest, "config": config}
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+    t = lambda name: os.path.join(tmp, name)  # noqa: E731
+    clusters = ("--strategy", "clusters", "--mapping", FIG1_MAPPING)
+    yield ("layers", g)
+    yield ("layers", g, "--format", "json")
+    yield ("search", g, "--seed", "1")
+    yield ("search", g, "--seed", "2", "--format", "json")
+    yield ("search", g, "--seed", "2", "--precise")
+    yield ("search", g, "--seed", "2", "--precise", "--format", "json")
+    yield ("search", g, "--alpha", "0.3", "--w-add", "0.5", "--w-mul", "1.25", "--w-div", "2")
+    yield ("search", g, "--no-prune", "--max-iters", "60")
+    yield ("search", g, "--stall", "5", "--format", "json")
+    yield ("search", g, "--reference", t("ref.txt"))
+    yield ("search", g, "--reference", t("ref.txt"), "--precise", "--format", "json")
+    yield ("search", g, "--max-iters", "0", "--format", "json")
+    yield ("search", g, "--max-iters", "0")
+    yield ("search", g, "--seed", "7", "--alpha", "0.3", "--manifest", t("run.json"))
+    yield ("replay", t("run.json"))
+    yield ("replay", t("run.json"), "--format", "json")
+    yield ("replay", t("old.json"))
+    yield ("search", edited, "--manifest", t("edited.json"), "--format", "json")
+    yield ("oracle", g)
+    yield ("oracle", g, "--format", "json")
+    yield ("oracle", g, "--precise")
+    yield ("oracle", g, "--all")
+    yield ("oracle", g, "--all", "--format", "json", "--w-mul", "2")
+    yield ("oracle", g, "--w-div", "1.5")
+    yield ("infer-cost", g)
+    yield ("infer-cost", g, "--format", "json", "--target", "F", "--order", "G,E,D,C,B,A")
+    yield ("infer-cost", g, "--strategy", "jointree-fixture", "--w-add", "0.125")
+    yield ("infer-cost", g, "--strategy", "jointree-fixture", "--format", "json", "--precise")
+    yield ("infer-cost", g, *clusters)
+    yield ("infer-cost", g, *clusters, "--format", "json")
+    yield ("infer-cost", g, *clusters, "--w-div", "2", "--precise")
+    yield ("gen", "--n", "12", "--seed", "3", "--out", t("g12.dag"))
+    yield ("gen", "--n", "8", "--seed", "2", "--states", "2-3", "--layers", "3")
+    yield ("gen", "--n", "6")
+    yield ("infer-cost", t("g12.dag"))
+    yield ("infer-cost", t("g12.dag"), "--format", "json")
+    yield ("compare", g, "--seeds", "2", "--alphas", "0,1")
+    yield ("compare", g, "--seeds", "2", "--alphas", "0.5", "--jobs", "2", "--format", "json")
+    yield ("compare", g, "--seeds", "1", "--alphas", "1", "--cap", "10", "--stall", "50")
+    # exit 2
+    yield ("layers", t("missing.dag"))
+    yield ("layers", t("empty.dag"))
+    yield ("layers", t("bad.txt"))
+    yield ("search", g, "--reference", t("missing.txt"))
+    yield ("search", g, "--reference", t("bad.txt"))
+    yield ("search", g, "--reference", t("partial.txt"), "--manifest", t("partial.json"))
+    yield ("search", g, "--manifest", t("missing/run.json"))
+    yield ("gen", "--n", "5", "--out", t("missing/g.dag"))
+    yield ("replay", t("bad.txt"))
+    yield ("replay", t("missing.json"))
+    with open(edited, "a", encoding="utf-8") as fh:
+        fh.write("edge B F\n")
+    yield ("replay", t("edited.json"))
+    yield ("infer-cost", g, "--strategy", "clusters", "--mapping", "Z=1")
+    # exit 3
+    yield ("oracle", g, "--cap", "10")
+    yield ("oracle", g, "--all", "--cap", "10")
+    # exit 4
+    yield ("replay", t("alpha2.json"))
+    yield ("replay", t("leaf.json"))
+    yield ("replay", t("noseed.json"))
+    yield ("search", g, "--alpha", "2")
+    yield ("search", g, "--max-iters", "-3")
+    yield ("search", g, "--alpha", "nope")
+    yield ("search", g, "--w-add", "nan")
+    yield ("search", g, "--gmin-inf")
+    yield ("compare", g, "--alphas", ",")
+    yield ("compare", g, "--seeds", "0")
+    yield ("infer-cost", g, "--strategy", "clusters")
+    yield ("infer-cost", g, "--strategy", "jointree-fixture", "--target", "F")
+    yield ("infer-cost", g, "--strategy", "clusters", "--mapping", "A=0")
+    yield ("infer-cost", g, "--w-add", "0")
+    yield ("gen", "--n", "5", "--max-in", "0")
+    yield ("gen",)
+    yield ()
+
+
+def test_cli_output_digest(tmp_path, capsys):
+    """Exit code, stdout and stderr of every corpus command.  Temporary
+    paths are masked, and so is the manifest a JSON search embeds (it holds
+    ``created_utc``)."""
+    tmp = str(tmp_path)
+    h = hashlib.sha256()
+    count = 0
+    capsys.readouterr()
+    for argv in _cli_corpus(tmp):
+        buf = io.StringIO()
+        code = main(list(argv), out=buf)
+        out, err = buf.getvalue(), capsys.readouterr().err
+        if out.startswith('{"manifest": '):
+            payload = json.loads(out)
+            payload["manifest"] = "<masked>"
+            out = json.dumps(payload, sort_keys=True) + "\n"
+        h.update(repr((code, out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>"))).encode())
+        count += 1
+    assert count == 70
+    assert h.hexdigest() == CLI_DIGEST
