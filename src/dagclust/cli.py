@@ -3,23 +3,26 @@
 Subcommands cover layer assignment, the cluster-mapping search, the exact
 brute-force oracle, inference-cost evaluation, benchmark generation, and a
 multi-run convergence comparison.  Every run is deterministic given the
-input file, the flags, and the seed; a JSON manifest echoing that triple is
-emitted alongside the results so any run can be replayed bit-for-bit.
+input file, the flags, and the seed; a JSON manifest echoing that triple,
+and any --reference file, is emitted alongside the results so any run can
+be replayed bit-for-bit.
 
-Exit codes: 0 success, 2 input validation (also a file that cannot be read
-or written or is not UTF-8, a manifest that is not a JSON object, a replayed input whose
-digest differs from its manifest's, or a --reference mapping that leaves a
-node unassigned), 3 enumeration cap, 4 config (also an empty --alphas, a
+Exit codes: 0 success, 1 stdout closed early (as by a pipe into head), 2
+input validation (also a file that cannot be read or written or is not
+UTF-8, a manifest that is not a JSON object, a replayed input or reference
+file whose digest differs from its manifest's, or a --reference mapping
+that leaves a node unassigned), 3 enumeration cap, 4 config (also an empty --alphas, a
 count or cap below 1, an operation weight that is not finite and positive, a
 mapping that names a node twice or uses a cluster label below 1, an
 infer-cost flag that the chosen strategy does not use, a manifest whose config
-or weights is not a JSON object, or a replayed manifest that turns on an
-option this version lacks).
+or weights is not a JSON object, a recorded path that is not a string, or
+a replayed manifest that turns on an option this version lacks).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -36,7 +39,7 @@ from .dag import (
     _require_total,
     assign_layers,
     format_dag_text,
-    load_dag,
+    parse_dag_text,
     search_space_size,
 )
 from .costs import TOL, BnComputationCost
@@ -47,6 +50,7 @@ from .oracle import DEFAULT_CAP, co_membership, enumerate_feasible, optimal_set,
 from .search import ConfigError, SearchConfig, search
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_CONFIG = 4
@@ -74,18 +78,48 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fmt(value: float, weights: OpCostWeights, precise: bool) -> str:
-    # Default weights make every cost a multiple of 0.2; one decimal suffices.
-    if precise or weights != DEFAULT_WEIGHTS:
-        return repr(value)
-    return f"{value:.1f}"
+def _formatter(args, weights: OpCostWeights):
+    """The cost formatter of one command.  Default weights make every cost a
+    multiple of 0.2, so one decimal suffices unless ``--precise`` is given."""
+    if args.precise or weights != DEFAULT_WEIGHTS:
+        return repr
+    return "{:.1f}".format
+
+
+@contextlib.contextmanager
+def _open(path: str, mode: str = "r", name: str | None = None):
+    """Open ``path`` as UTF-8 text, or as bytes in a "b" mode.  A failure to
+    open, read, write or decode it (JSON included) exits 2, naming ``name``
+    or else the path."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        verb = "write" if "w" in mode else "read"
+        raise CliError(f"cannot {verb} {name or path}: {exc}", EXIT_VALIDATION) from None
 
 
 def _load(path: str) -> Dag:
-    try:
-        return load_dag(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
+    with _open(path) as fh:
+        return parse_dag_text(fh.read())
+
+
+def _sha256(path: str) -> str:
+    with _open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _print(args, out, payload: dict, header: list[str], rows, report) -> None:
+    """Print a command's result: ``payload`` as one JSON line, or a TSV
+    ``header``, its ``rows`` and a ``# report`` line per ``(key, value)``."""
+    if args.format == "json":
+        json.dump(payload, out, sort_keys=True)
+        out.write("\n")
+        return
+    for row in (header, *rows):
+        out.write("\t".join(map(str, row)) + "\n")
+    for key, val in report:
+        out.write(f"# report\t{key}={val}\n")
 
 
 def _given(args, cls) -> dict:
@@ -127,67 +161,52 @@ def _mapping_str(dag: Dag, mapping: dict[int, int]) -> str:
     return ",".join(f"{dag.name(x)}={mapping[x]}" for x in sorted(mapping))
 
 
-def _sha256(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
+# Each file a search reads: its manifest key and the attribute holding its path.
+_SEARCH_FILES = (("input", "file"), ("reference", "reference"))
 
 
-def _manifest(command: str, input_path: str, config: dict, manifest_path: str | None) -> dict:
-    """The run manifest.  A relative input path is recorded relative to the
-    manifest's own directory, so a replay finds the input from anywhere."""
-    recorded = input_path
-    if manifest_path and not os.path.isabs(input_path):
-        recorded = os.path.relpath(input_path, os.path.dirname(os.path.abspath(manifest_path)))
-    return {
+def _manifest(args, config: dict) -> dict:
+    """The run manifest, also written to ``--manifest`` if given.  Each file
+    the search reads is recorded with its sha256; a relative path is recorded
+    relative to the manifest's own directory, so a replay finds it from
+    anywhere.  ``precise`` is recorded only when set."""
+    manifest = {
         "artifact": "dagclust",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        "input": recorded,
-        "input_sha256": _sha256(input_path),
+        "command": "search",
         "config": config,
+        **({"precise": True} if args.precise else {}),
     }
-
-
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_VALIDATION) from None
+    for key, attr in _SEARCH_FILES:
+        path = getattr(args, attr)
+        if not path:
+            continue
+        manifest[key] = path
+        if args.manifest and not os.path.isabs(path):
+            manifest[key] = os.path.relpath(path, os.path.dirname(os.path.abspath(args.manifest)))
+        manifest[f"{key}_sha256"] = _sha256(path)
+    if args.manifest:
+        with _open(args.manifest, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_layers(args, out) -> int:
+def cmd_layers(args, out) -> None:
     dag = _load(args.file)
     layers = assign_layers(dag)
-    if args.format == "json":
-        json.dump(
-            {"layers": {dag.name(i): layers.of(i) for i in dag.node_ids()}},
-            out,
-            sort_keys=True,
-        )
-        out.write("\n")
-    else:
-        out.write("node\tlayer\n")
-        for i in dag.node_ids():
-            out.write(f"{dag.name(i)}\t{layers.of(i)}\n")
-    return EXIT_OK
+    rows = [(dag.name(i), layers.of(i)) for i in dag.node_ids()]
+    _print(args, out, {"layers": dict(rows)}, ["node", "layer"], rows, ())
 
 
 def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from None
+    with _open(path) as fh:
+        lines = fh.readlines()
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -200,77 +219,53 @@ def _read_references(dag: Dag, path: str) -> list[dict[int, int]]:
     return rows
 
 
-def cmd_search(args, out, manifest: dict | None = None) -> int:
+def cmd_search(args, out, manifest: dict | None = None) -> None:
     """Run one search.  A replay passes the manifest it ran from, which the
     JSON output then embeds unchanged."""
     dag = _load(args.file)
     layers = assign_layers(dag)
-    model = BnComputationCost(dag, layers, _weights(args))
+    weights = _weights(args)
     config = SearchConfig(**_given(args, SearchConfig))
     references = _read_references(dag, args.reference) if args.reference else None
     # Co-membership matrices, built once for every row's similarity.
     references = references and [co_membership(r) for r in references]
-
     if manifest is None:
-        manifest = _manifest(
-            "search",
-            args.file,
-            {**dataclasses.asdict(config), "weights": dataclasses.asdict(_weights(args))},
-            args.manifest,
-        )
-        if args.manifest:
-            _write(args.manifest, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        manifest = _manifest(args, {**dataclasses.asdict(config), "weights": dataclasses.asdict(weights)})
 
-    result = search(dag, layers, model, config)
+    result = search(dag, layers, BnComputationCost(dag, layers, weights), config)
+    fmt = _formatter(args, weights)
     # The incumbent at each row: the best total emitted so far.
-    incumbents = list(itertools.accumulate((r.total_cost for r in result.solutions), min))
-
-    w = model.weights
-    report = dataclasses.asdict(result.report)
-    if args.format == "json":
-        payload = {
-            "manifest": manifest,
-            "solutions": [
-                {
-                    "iteration": r.iteration,
-                    "branch": r.branch,
-                    "total_cost": r.total_cost,
-                    "gmin": gmin,
-                    "mapping": {dag.name(x): k for x, k in sorted(r.mapping.items())},
-                    "optimal": r.optimal,
-                    **({"similarity": similarity(co_membership(r.mapping), references)} if references else {}),
-                }
-                for r, gmin in zip(result.solutions, incumbents)
-            ],
-            "report": report,
+    incumbents = itertools.accumulate((r.total_cost for r in result.solutions), min)
+    solutions = [
+        {
+            "iteration": r.iteration,
+            "branch": r.branch,
+            "total_cost": r.total_cost,
+            "gmin": gmin,
+            "mapping": {dag.name(x): k for x, k in sorted(r.mapping.items())},
+            "optimal": r.optimal,
+            **({"similarity": similarity(co_membership(r.mapping), references)} if references else {}),
         }
-        json.dump(payload, out, sort_keys=True)
-        out.write("\n")
-    else:
-        cols = ["iteration", "branch", "total_cost", "gmin", "mapping", "optimal"]
-        if references is not None:
-            cols.append("similarity")
-        out.write("\t".join(cols) + "\n")
-        for r, gmin in zip(result.solutions, incumbents):
-            row = [
-                str(r.iteration),
-                str(r.branch),
-                _fmt(r.total_cost, w, args.precise),
-                _fmt(gmin, w, args.precise),
-                _mapping_str(dag, r.mapping),
-                "1" if r.optimal else "0",
-            ]
-            if references is not None:
-                row.append(f"{similarity(co_membership(r.mapping), references):.4f}")
-            out.write("\t".join(row) + "\n")
-        for key, val in report.items():
-            if isinstance(val, float):
-                val = _fmt(val, w, args.precise)
-            out.write(f"# report\t{key}={val}\n")
-    return EXIT_OK
+        for r, gmin in zip(result.solutions, incumbents)
+    ]
+    rows = (
+        [r.iteration, r.branch, fmt(r.total_cost), fmt(s["gmin"]), _mapping_str(dag, r.mapping), int(r.optimal)]
+        + ([f"{s['similarity']:.4f}"] if references else [])
+        for r, s in zip(result.solutions, solutions)
+    )
+    header = ["iteration", "branch", "total_cost", "gmin", "mapping", "optimal"] + ["similarity"] * bool(references)
+    report = dataclasses.asdict(result.report)
+    _print(
+        args,
+        out,
+        {"manifest": manifest, "solutions": solutions, "report": report},
+        header,
+        rows,
+        ((key, fmt(val) if isinstance(val, float) else val) for key, val in report.items()),
+    )
 
 
-def cmd_oracle(args, out) -> int:
+def cmd_oracle(args, out) -> None:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = BnComputationCost(dag, layers, _weights(args))
@@ -283,35 +278,26 @@ def cmd_oracle(args, out) -> int:
     else:
         best, winners = optimal_set(dag, layers, model, cap=args.cap)
         count = len(winners)
-    w = model.weights
-    if args.format == "json":
-        json.dump(
-            {
-                "optimal_cost": best,
-                "mappings": [
-                    {
-                        "mapping": {dag.name(x): k for x, k in sorted(fm.u.items())},
-                        "cost": fm.total_cost,
-                        "partition": list(fm.signature),
-                    }
-                    for fm in winners
-                ],
-            },
-            out,
-            sort_keys=True,
-        )
-        out.write("\n")
-    else:
-        out.write("mapping\tcost\tpartition\n")
-        for fm in winners:
-            part = ",".join(map(str, fm.signature))
-            out.write(f"{_mapping_str(dag, fm.u)}\t{_fmt(fm.total_cost, w, args.precise)}\t{part}\n")
-        out.write(f"# report\toptimal_cost={_fmt(best, w, args.precise)}\n")
-        out.write(f"# report\toptimal_solution_count={count}\n")
-    return EXIT_OK
+    fmt = _formatter(args, model.weights)
+    mappings = [
+        {
+            "mapping": {dag.name(x): k for x, k in sorted(fm.u.items())},
+            "cost": fm.total_cost,
+            "partition": list(fm.signature),
+        }
+        for fm in winners
+    ]
+    _print(
+        args,
+        out,
+        {"optimal_cost": best, "mappings": mappings},
+        ["mapping", "cost", "partition"],
+        ([_mapping_str(dag, fm.u), fmt(fm.total_cost), ",".join(map(str, fm.signature))] for fm in winners),
+        [("optimal_cost", fmt(best)), ("optimal_solution_count", count)],
+    )
 
 
-def cmd_infer_cost(args, out) -> int:
+def cmd_infer_cost(args, out) -> None:
     ignored = [
         flag
         for flag, strategy in (("--target", "be"), ("--order", "be"), ("--mapping", "clusters"))
@@ -322,66 +308,37 @@ def cmd_infer_cost(args, out) -> int:
     dag = _load(args.file)
     layers = assign_layers(dag)
     weights = _weights(args)
+    fmt = _formatter(args, weights)
     if args.strategy == "clusters":
         if not args.mapping:
             raise CliError("--strategy clusters requires --mapping", EXIT_CONFIG)
-        mapping = _parse_mapping(dag, args.mapping)
-        res = cluster_inference_schedule(dag, layers, mapping, weights)
-        if args.format == "json":
-            json.dump(
-                {
-                    "total": res.total,
-                    "steps": [dataclasses.asdict(s) for s in res.steps],
-                },
-                out,
-                sort_keys=True,
-            )
-            out.write("\n")
+        res = cluster_inference_schedule(dag, layers, _parse_mapping(dag, args.mapping), weights)
+        total, steps = res.total, [dataclasses.asdict(s) for s in res.steps]
+        header = ["phase", "cluster", "layer", "cost", "label"]
+        rows = ([s.phase, s.cluster, s.layer, fmt(s.cost), s.label] for s in res.steps)
+    else:
+        if args.strategy == "be":
+            target = dag.id_of(args.target) if args.target else dag.leaves[0]
+            order = [dag.id_of(n.strip()) for n in args.order.split(",")] if args.order else None
+            total, ops = bucket_elimination_cost(dag, layers, target, order, weights)
         else:
-            out.write("phase\tcluster\tlayer\tcost\tlabel\n")
-            for s in res.steps:
-                out.write(
-                    f"{s.phase}\t{s.cluster}\t{s.layer}\t{_fmt(s.cost, weights, args.precise)}\t{s.label}\n"
-                )
-            out.write(f"# report\ttotal={_fmt(res.total, weights, args.precise)}\n")
-        return EXIT_OK
-    if args.strategy == "be":
-        target = dag.id_of(args.target) if args.target else dag.leaves[0]
-        order = None
-        if args.order:
-            order = [dag.id_of(n.strip()) for n in args.order.split(",")]
-        total, rows = bucket_elimination_cost(dag, layers, target, order, weights)
-    else:
-        total, rows = jointree_fixture_cost(dag, weights)
-    if args.format == "json":
-        json.dump(
+            total, ops = jointree_fixture_cost(dag, weights)
+        steps = [
             {
-                "total": total,
-                "steps": [
-                    {
-                        "step_index": r.index,
-                        "op": r.op,
-                        "accumulator_id": r.acc,
-                        "dims": sorted(dag.name(d) for d in r.dims),
-                        "cost": r.cost,
-                    }
-                    for r in rows
-                ],
-            },
-            out,
-            sort_keys=True,
-        )
-        out.write("\n")
-    else:
-        out.write("step_index\top\taccumulator_id\tdims\tcost\n")
-        for r in rows:
-            dims = ",".join(dag.name(d) for d in sorted(r.dims))
-            out.write(f"{r.index}\t{r.op}\t{r.acc}\t{dims}\t{_fmt(r.cost, weights, args.precise)}\n")
-        out.write(f"# report\ttotal={_fmt(total, weights, args.precise)}\n")
-    return EXIT_OK
+                "step_index": r.index,
+                "op": r.op,
+                "accumulator_id": r.acc,
+                "dims": sorted(dag.name(d) for d in r.dims),
+                "cost": r.cost,
+            }
+            for r in ops
+        ]
+        header = ["step_index", "op", "accumulator_id", "dims", "cost"]
+        rows = ([r.index, r.op, r.acc, ",".join(dag.name(d) for d in sorted(r.dims)), fmt(r.cost)] for r in ops)
+    _print(args, out, {"total": total, "steps": steps}, header, rows, [("total", fmt(total))])
 
 
-def cmd_gen(args, out) -> int:
+def cmd_gen(args, out) -> None:
     given = _given(args, GeneratorSpec)
     try:
         if "states" in given:
@@ -392,7 +349,8 @@ def cmd_gen(args, out) -> int:
         raise CliError(str(exc), EXIT_CONFIG) from None
     text = format_dag_text(dag)
     if args.out:
-        _write(args.out, text)
+        with _open(args.out, "w") as fh:
+            fh.write(text)
     else:
         out.write(text)
     ins, outs = degree_histogram(dag)
@@ -401,10 +359,9 @@ def cmd_gen(args, out) -> int:
     out.write(f"# search_space={search_space_size(dag, layers)}\n")
     out.write("# in-degree histogram: " + " ".join(f"{d}:{c}" for d, c in ins.items()) + "\n")
     out.write("# out-degree histogram: " + " ".join(f"{d}:{c}" for d, c in outs.items()) + "\n")
-    return EXIT_OK
 
 
-def cmd_compare(args, out) -> int:
+def cmd_compare(args, out) -> None:
     dag = _load(args.file)
     layers = assign_layers(dag)
     model = BnComputationCost(dag, layers, _weights(args))
@@ -461,26 +418,20 @@ def cmd_compare(args, out) -> int:
     else:
         rows = [one(cfg) for cfg in configs]
     rows.sort(key=lambda r: (r["seed"], r["alpha"]))
-
-    if args.format == "json":
-        json.dump({"naive_cost": h_all, "oracle_cost": oracle_best, "runs": rows}, out, sort_keys=True)
-        out.write("\n")
-    else:
-        cols = list(rows[0].keys()) if rows else []
-        out.write("\t".join(cols) + "\n")
-        for r in rows:
-            out.write("\t".join("" if r[c] is None else str(r[c]) for c in cols) + "\n")
-        out.write(f"# report\tnaive_cost={h_all}\n")
-        out.write(f"# report\toracle_cost={oracle_best}\n")
-    return EXIT_OK
+    cols = list(rows[0]) if rows else []
+    _print(
+        args,
+        out,
+        {"naive_cost": h_all, "oracle_cost": oracle_best, "runs": rows},
+        cols,
+        (["" if r[c] is None else r[c] for c in cols] for r in rows),
+        [("naive_cost", h_all), ("oracle_cost", oracle_best)],
+    )
 
 
-def cmd_replay(args, out) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read manifest: {exc}", EXIT_VALIDATION) from None
+def cmd_replay(args, out) -> None:
+    with _open(args.manifest, name="manifest") as fh:
+        manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise CliError("cannot read manifest: not a JSON object", EXIT_VALIDATION)
     if manifest.get("command") != "search":
@@ -494,8 +445,9 @@ def cmd_replay(args, out) -> int:
     ]
     if missing:
         raise CliError(f"manifest lacks {', '.join(missing)}", EXIT_CONFIG)
-    if not isinstance(manifest["input"], str):
-        raise CliError("manifest input must be a path string", EXIT_CONFIG)
+    for key, _ in _SEARCH_FILES:
+        if not isinstance(manifest.get(key, ""), str):
+            raise CliError(f"manifest {key} must be a path string", EXIT_CONFIG)
     # A key set that the flags cannot carry (such as the removed root-split
     # filter or leaf_init) would make the replay a different search.
     known = {field for field, _ in _SEARCH_FLAGS.values()} | {"weights"}
@@ -505,17 +457,19 @@ def cmd_replay(args, out) -> int:
             f"manifest enables options this version does not have: {', '.join(unknown)}",
             EXIT_CONFIG,
         )
-    input_path = os.path.join(os.path.dirname(os.path.abspath(args.manifest)), manifest["input"])
-    if _sha256(input_path) != manifest.get("input_sha256"):
-        raise CliError(
-            f"{input_path} does not match the manifest's input_sha256",
-            EXIT_VALIDATION,
-        )
+    argv = ["search", "--format", args.format] + ["--precise"] * bool(manifest.get("precise"))
+    # Each recorded file, found relative to the manifest, must still hold
+    # the bytes it was recorded with.
+    for key, attr in _SEARCH_FILES:
+        if key in manifest:
+            path = os.path.join(os.path.dirname(os.path.abspath(args.manifest)), manifest[key])
+            if _sha256(path) != manifest.get(f"{key}_sha256"):
+                raise CliError(f"{path} does not match the manifest's {key}_sha256", EXIT_VALIDATION)
+            argv += [path] if key == "input" else [f"--{attr}", path]
     # A setting the manifest lacks, or a None where the library's default is
     # None, takes that default; any other value goes through its flag's
     # type, which refuses a null alpha or seed.
     defaults = {**dataclasses.asdict(SearchConfig()), **dataclasses.asdict(DEFAULT_WEIGHTS)}
-    argv = ["search", input_path, "--format", args.format]
     for held, flags in ((cfg, _SEARCH_FLAGS), (weights, _WEIGHT_FLAGS)):
         for flag, (field, kind) in flags.items():
             value = held.get(field, defaults[field])
@@ -523,11 +477,7 @@ def cmd_replay(args, out) -> int:
                 argv += [] if value else [flag]
             elif value is not None or defaults[field] is not None:
                 argv += [flag, str(value)]
-    try:
-        search_args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return cmd_search(search_args, out, manifest)
+    cmd_search(build_parser().parse_args(argv), out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +508,24 @@ def _add_fields(p: _Parser, flags: dict, **help: str) -> None:
         p.add_argument(flag, dest=field, default=argparse.SUPPRESS, help=help.get(field), **kw)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_output(p: _Parser, precise: bool = True, weights: bool = True) -> None:
+    """``--precise`` where costs are printed by the cost formatter,
+    ``--format`` everywhere, and the operation weights where costs are
+    computed."""
+    if precise:
+        p.add_argument("--precise", action="store_true", help="full float precision")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    _add_fields(p, _WEIGHT_FLAGS)
+    if weights:
+        _add_fields(p, _WEIGHT_FLAGS)
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="dagclust", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("layers", parents=[], help="print the layer of every node")
+    p = sub.add_parser("layers", help="print the layer of every node")
     p.add_argument("file")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    _add_output(p, precise=False, weights=False)
     p.set_defaults(fn=cmd_layers)
 
     p = sub.add_parser("search", help="run the cluster-mapping search")
@@ -577,16 +533,14 @@ def build_parser() -> _Parser:
     _add_fields(p, _SEARCH_FLAGS, stall_window="stop after this many iterations without improvement")
     p.add_argument("--reference", default=None, help="file of mappings to score similarity against")
     p.add_argument("--manifest", default=None, help="write the run manifest to this path")
-    p.add_argument("--precise", action="store_true", help="full float precision")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("oracle", help="exact optimal mappings by brute force")
     p.add_argument("file")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--all", action="store_true", help="dump every feasible mapping, not just the optima")
-    p.add_argument("--precise", action="store_true", help="full float precision")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("infer-cost", help="inference-cost schedules and totals")
@@ -595,8 +549,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", default=None, help="target node for bucket elimination")
     p.add_argument("--order", default=None, help="comma-joined elimination order")
     p.add_argument("--mapping", default=None, help="name=cluster pairs for --strategy clusters")
-    p.add_argument("--precise", action="store_true", help="full float precision")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_infer_cost)
 
     p = sub.add_parser("gen", help="generate a benchmark DAG")
@@ -621,12 +574,12 @@ def build_parser() -> _Parser:
     _add_fields(p, {"--stall": _SEARCH_FLAGS["--stall"]})
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    _add_common(p)
+    _add_output(p, precise=False)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("replay", help="re-run a search from its manifest")
     p.add_argument("manifest")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    _add_output(p, precise=False, weights=False)
     p.set_defaults(fn=cmd_replay)
 
     return top
@@ -634,15 +587,22 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    # Library exceptions become exit codes here; only _weights, cmd_gen and
+    # cmd_compare map their own.  argparse has printed its own message by
+    # the time it exits, here or in a replay.
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.fn(args, out)
+        return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
-    # Library exceptions become exit codes here; only _weights, cmd_gen and
-    # cmd_compare map their own.
-    try:
-        return args.fn(args, out)
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # The reader closed stdout (``dagclust search g.dag | head -1``).
+        # Point it at devnull, so the interpreter's last flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         code, error = exc.code, exc
     except ValidationError as exc:

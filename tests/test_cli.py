@@ -2,9 +2,12 @@ import argparse
 import ast
 import dataclasses
 import glob
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -221,7 +224,8 @@ def test_replay_resolves_relative_input_against_manifest(tmp_path, monkeypatch):
     (tmp_path / "data").mkdir()
     (tmp_path / "runs").mkdir()
     (tmp_path / "elsewhere").mkdir()
-    (tmp_path / "data" / "g.dag").write_text(open(FIG1, encoding="utf-8").read())
+    with open(FIG1, encoding="utf-8") as fh:
+        (tmp_path / "data" / "g.dag").write_text(fh.read())
     monkeypatch.chdir(tmp_path)
     code, first = run_cli("search", "data/g.dag", "--seed", "3", "--manifest", "runs/run.json")
     assert code == 0
@@ -236,7 +240,8 @@ def test_replay_resolves_relative_input_against_manifest(tmp_path, monkeypatch):
 
 def test_replay_rejects_edited_input(tmp_path):
     dag_path = tmp_path / "g.dag"
-    dag_path.write_text(open(FIG1, encoding="utf-8").read())
+    with open(FIG1, encoding="utf-8") as fh:
+        dag_path.write_text(fh.read())
     man = tmp_path / "run.json"
     code, _ = run_cli("search", str(dag_path), "--manifest", str(man))
     assert code == 0
@@ -244,6 +249,69 @@ def test_replay_rejects_edited_input(tmp_path):
     code, out = run_cli("replay", str(man))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("flag", ["--precise", "--reference"])
+def test_replay_carries_precise_and_reference(tmp_path, monkeypatch, fmt, flag):
+    """The manifest records ``precise`` when set and the reference file, by
+    its path relative to the manifest and its sha256; replay passes both
+    back, so the run comes out byte for byte."""
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "ref.txt").write_text("A=2,B=6,C=7,D=2,E=3,F=1,G=2\n")
+    monkeypatch.chdir(tmp_path)
+    flags = ("--precise",) if flag == "--precise" else ("--reference", "ref.txt")
+    argv = ("search", FIG1, "--seed", "2", "--format", fmt)
+    code, first = run_cli(*argv, *flags, "--manifest", "runs/run.json")
+    assert code == 0
+    assert first != run_cli(*argv)[1]
+    manifest = json.loads((tmp_path / "runs" / "run.json").read_text())
+    if flag == "--precise":
+        assert manifest["precise"] is True
+        assert "reference" not in manifest
+    else:
+        assert manifest["reference"] == os.path.join("..", "ref.txt")
+        assert manifest["reference_sha256"] == hashlib.sha256(b"A=2,B=6,C=7,D=2,E=3,F=1,G=2\n").hexdigest()
+        assert "precise" not in manifest
+    monkeypatch.chdir(tmp_path / "runs")
+    code, again = run_cli("replay", "run.json", "--format", fmt)
+    assert code == 0
+    assert first == again
+
+
+def test_manifest_without_precise_or_reference_omits_them(tmp_path):
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    manifest = json.loads(man.read_text())
+    assert not {"precise", "reference", "reference_sha256"} & set(manifest)
+
+
+@pytest.mark.parametrize("change", ["edit", "delete"])
+def test_replay_rejects_changed_reference(tmp_path, capsys, change):
+    """A reference file that no longer has its recorded digest, or is gone,
+    stops the replay before anything is printed."""
+    ref = tmp_path / "ref.txt"
+    ref.write_text("A=2,B=6,C=7,D=2,E=3,F=1,G=2\n")
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--reference", str(ref), "--manifest", str(man))[0] == 0
+    if change == "edit":
+        ref.write_text("A=1,B=6,C=7,D=2,E=3,F=1,G=2\n")
+    else:
+        ref.unlink()
+    capsys.readouterr()
+    assert run_cli("replay", str(man)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("dagclust: error: ")
+    assert ("reference_sha256" if change == "edit" else f"cannot read {ref}") in err
+
+
+def test_replay_rejects_reference_not_a_string(tmp_path, capsys):
+    man = tmp_path / "run.json"
+    assert run_cli("search", FIG1, "--manifest", str(man))[0] == 0
+    man.write_text(json.dumps({**json.loads(man.read_text()), "reference": 3}))
+    capsys.readouterr()
+    assert run_cli("replay", str(man)) == (4, "")
+    assert "manifest reference must be a path string" in capsys.readouterr().err
 
 
 def test_replay_rejects_root_split_manifest(tmp_path, capsys):
@@ -647,6 +715,22 @@ def test_compare_rows_ordered():
 
 
 # -- plumbing ----------------------------------------------------------------------------
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """A reader that closes stdout early (``| head -1``) gets exit 1 and no
+    traceback, even though the output outgrows the pipe's buffer."""
+    g = tmp_path / "g16.dag"
+    assert run_cli("gen", "--n", "16", "--seed", "1", "--out", str(g))[0] == 0
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "dagclust.cli", "search", str(g)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"iteration\t")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_unknown_cost_model():

@@ -184,7 +184,10 @@ def _cli_corpus(tmp):
         manifest = {"command": "search", "input": "g.dag", "input_sha256": digest, "config": config}
         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
-    t = lambda name: os.path.join(tmp, name)  # noqa: E731
+
+    def t(name):
+        return os.path.join(tmp, name)
+
     clusters = ("--strategy", "clusters", "--mapping", FIG1_MAPPING)
     yield ("layers", g)
     yield ("layers", g, "--format", "json")
